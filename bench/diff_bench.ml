@@ -18,8 +18,7 @@ let metric_keys =
   [
     "tokens_per_s"; "cycles_per_s"; "vec_agg_cycles_per_s";
     "solo_agg_cycles_per_s"; "off_cycles_per_s"; "on_cycles_per_s"; "speedup";
-    "speedup_batched"; "sessions_per_s"; "packed_agg_cycles_per_s";
-    "independent_agg_cycles_per_s";
+    "sessions_per_s"; "packed_agg_cycles_per_s"; "independent_agg_cycles_per_s";
   ]
 
 (* Flattens a document into (path, value) rows for the gated metrics. *)

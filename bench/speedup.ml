@@ -1,7 +1,6 @@
 (* Parallel-scheduler speedup microbench: the same multi-partition NoC
    designs run under the sequential and parallel schedulers, reporting
-   wall-clock time, tokens/s and the seq/par ratio — per-cycle and with
-   cycle-batched token exchange ([batch_cycles]).
+   wall-clock time, tokens/s and the seq/par ratio.
 
    LI-BDN determinism guarantees identical token streams either way, so
    this is a pure execution-policy comparison.  On a single-core host
@@ -9,25 +8,25 @@
    only pays off once [Domain.recommended_domain_count] admits real
    concurrency — which is why every row records the PHYSICAL host
    domain count next to the EFFECTIVE one the run used, and marks rows
-   that took the cooperative single-core fallback instead of spawning
-   domains.  A reader (or the CI gate) can then tell a real scaling
-   measurement from a placeholder taken on a starved runner.
+   that ran every partition inline on one domain instead of spawning
+   domains ([cooperative_fallback]).  A reader (or the CI gate) can then
+   tell a real scaling measurement from a placeholder taken on a starved
+   runner.
 
    The scaling section sweeps forced host-domain counts 1/2/4/8: each
    point bin-packs the partitions onto that many domains with the
    [Platform.Place] placement pass (profiled-or-estimated load weights,
-   LPT) and runs the parallel scheduler with batched exchange — the
-   curve FireAxe's Figure-style speedup plots want.
+   LPT) and runs the parallel scheduler — the curve FireAxe's
+   Figure-style speedup plots want.
 
    A second measurement per design forces one REAL domain per partition
    ([Libdn.Scheduler.set_host_domains]) and runs twice — once with the
    disabled {!Telemetry.Profile.null} sink, once with a live profile —
    so the report carries (a) a truthful per-partition
-   run/exchange/spin/park/barrier stall breakdown (the cooperative
-   single-core fallback structurally cannot produce one: every
-   round-robin visit progresses, so its spin/park counters sit at
-   zero), and (b) the profiler's enabled-vs-disabled overhead measured
-   on the same execution path.  A discarded warmup run on that same
+   run/exchange/spin/park/barrier stall breakdown (the inline
+   single-core worker never parks, so it cannot produce one), and (b)
+   the profiler's enabled-vs-disabled overhead measured on the same
+   execution path.  A discarded warmup run on that same
    path precedes the pair, so the first measured run no longer pays the
    one-off domain-spawn and page-fault cost that used to show up as a
    spurious NEGATIVE profiler overhead. *)
@@ -35,19 +34,13 @@
 (* Each measurement runs with a live telemetry sink so the JSON report
    can break wall-clock down into per-partition run/idle/barrier time
    and per-channel stall attribution. *)
-let measure ?profile ?(batch_cycles = 1) ?groups plan ~cycles scheduler =
+let measure ?profile ?groups plan ~cycles scheduler =
   let telemetry = Telemetry.create () in
   let h =
-    Fireripper.Runtime.instantiate ~scheduler ~batch_cycles ?groups ~telemetry
-      ?profile plan
+    Fireripper.Runtime.instantiate ~scheduler ?groups ~telemetry ?profile plan
   in
   let secs = Harness.time (fun () -> Fireripper.Runtime.run h ~cycles) in
   (secs, Fireripper.Runtime.token_transfers h, telemetry)
-
-(* The batched-exchange cap the par_batched and scaling rows run with:
-   deep enough to amortize crossings on decoupled partitions, small
-   enough that the adaptive controller converges within the bench. *)
-let bench_batch_cycles = 16
 
 (* Total stalls attributed to each input channel
    ([net.<part>.in.<chan>.stalled], nonzero entries only). *)
@@ -93,8 +86,8 @@ let stall_breakdown profile =
   | _ -> []
 
 (* How many domains a parallel run at [forced] host domains actually
-   uses for [plan], and whether it is the cooperative fallback: 1
-   domain below the spawn threshold, one per placement group when the
+   uses for [plan], and whether it runs inline: 1 domain below the
+   spawn threshold, one per placement group when the
    placement pass fused partitions, one per partition otherwise. *)
 let effective_domains plan ~forced ~groups =
   if forced <= 1 then (1, true)
@@ -105,22 +98,19 @@ let effective_domains plan ~forced ~groups =
 
 (* One point of the domain-scaling curve: force [forced] host domains,
    bin-pack the partitions onto them (Place Auto — load-weighted LPT),
-   and run the parallel scheduler with batched exchange. *)
+   and run the parallel scheduler. *)
 let scaling_point plan ~cycles ~seq_secs forced =
   Libdn.Scheduler.set_host_domains forced;
   let groups =
     Platform.Place.groups ~domains:forced ~policy:Platform.Place.Auto plan
   in
   let eff, cooperative = effective_domains plan ~forced ~groups in
-  let secs, _, _ =
-    measure ?groups ~batch_cycles:bench_batch_cycles plan ~cycles
-      Libdn.Scheduler.Parallel
-  in
+  let secs, _, _ = measure ?groups plan ~cycles Libdn.Scheduler.Parallel in
   Libdn.Scheduler.set_host_domains 0;
   Printf.printf
     "  scale d=%d (effective %d%s) %8.3f s %10.0f cycles/s  %.2fx vs seq\n"
     forced eff
-    (if cooperative then ", cooperative" else "")
+    (if cooperative then ", inline" else "")
     secs
     (float_of_int cycles /. secs)
     (seq_secs /. secs);
@@ -130,7 +120,6 @@ let scaling_point plan ~cycles ~seq_secs forced =
       ("forced_domains", Telemetry.Json.Int forced);
       ("effective_domains", Telemetry.Json.Int eff);
       ("cooperative_fallback", Telemetry.Json.Bool cooperative);
-      ("batch_cycles", Telemetry.Json.Int bench_batch_cycles);
       ("secs", Telemetry.Json.Float secs);
       ("cycles_per_s", Telemetry.Json.Float (float_of_int cycles /. secs));
       ("speedup", Telemetry.Json.Float (seq_secs /. secs));
@@ -143,8 +132,8 @@ let bench ~name ~cycles plan =
   let physical = Domain.recommended_domain_count () in
   Printf.printf "%-12s %d partitions, %d target cycles\n" name
     (Fireripper.Plan.n_units plan) cycles;
-  let run ?profile ?batch_cycles ~tag scheduler =
-    let secs, tokens, tel = measure ?profile ?batch_cycles plan ~cycles scheduler in
+  let run ?profile ~tag scheduler =
+    let secs, tokens, tel = measure ?profile plan ~cycles scheduler in
     Printf.printf "  %-9s %8.3f s %12.0f tokens/s %10.0f cycles/s\n" tag secs
       (float_of_int tokens /. secs)
       (float_of_int cycles /. secs);
@@ -155,25 +144,15 @@ let bench ~name ~cycles plan =
   in
   let par_secs, par_tokens, _ = run ~tag:"par" Libdn.Scheduler.Parallel in
   Printf.printf "  speedup (seq/par wall-clock): %.2fx\n" (seq_secs /. par_secs);
-  (* The same parallel run with cycle-batched exchange: up to
-     [bench_batch_cycles] target cycles of tokens per channel transfer,
-     adaptive below the cap.  Bit-exact with the per-cycle rows by
-     LI-BDN determinism — the delta is pure synchronization cost. *)
-  let parb_secs, parb_tokens, _ =
-    run ~batch_cycles:bench_batch_cycles
-      ~tag:(Printf.sprintf "par/K=%d" bench_batch_cycles)
-      Libdn.Scheduler.Parallel
-  in
-  Printf.printf "  speedup (seq/par batched):    %.2fx\n" (seq_secs /. parb_secs);
   (* Domain-scaling curve: 1/2/4/8 forced host domains, load-balanced
-     placement, batched exchange. *)
+     placement. *)
   let scaling =
     List.map (scaling_point plan ~cycles ~seq_secs) [ 1; 2; 4; 8 ]
   in
   (* Real-domain section: force one domain per partition — even on a
      single-core host — so the profiled and unprofiled runs take the
-     SAME execution path and their delta is the profiler's cost, not a
-     cooperative-vs-domains policy change.  The discarded warmup run
+     SAME execution path and their delta is the profiler's cost, not an
+     inline-vs-domains policy change.  The discarded warmup run
      eats the one-off spawn/fault cost first. *)
   let n_units = Fireripper.Plan.n_units plan in
   Libdn.Scheduler.set_host_domains n_units;
@@ -203,16 +182,13 @@ let bench ~name ~cycles plan =
       ("cycles", Telemetry.Json.Int cycles);
       ("physical_domains", Telemetry.Json.Int physical);
       ( "cooperative_fallback",
-        (* Whether the headline seq/par rows above ran cooperatively
-           (single-domain host): their "speedup" then measures scheduler
-           bookkeeping, not parallelism. *)
+        (* Whether the headline par row above ran inline (single-domain
+           host): its "speedup" then measures scheduler bookkeeping, not
+           parallelism. *)
         Telemetry.Json.Bool (physical <= 1) );
       ("seq", sched_row seq_secs seq_tokens);
       ("par", sched_row par_secs par_tokens);
       ("speedup", Telemetry.Json.Float (seq_secs /. par_secs));
-      ("par_batched", sched_row parb_secs parb_tokens);
-      ("batch_cycles", Telemetry.Json.Int bench_batch_cycles);
-      ("speedup_batched", Telemetry.Json.Float (seq_secs /. parb_secs));
       ("scaling", Telemetry.Json.List scaling);
       ( "par_domains",
         Telemetry.Json.Obj

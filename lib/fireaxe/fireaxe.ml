@@ -49,11 +49,11 @@ let placement_groups ?profile ?placement plan =
   | None -> None
   | Some policy -> Platform.Place.groups ?profile ~policy plan
 
-let instantiate ?fame5 ?scheduler ?batch_cycles ?spin_budget ?placement
-    ?telemetry ?profile ?engine ?lanes plan =
+let instantiate ?fame5 ?scheduler ?placement ?telemetry ?profile ?engine
+    ?lanes plan =
   let groups = placement_groups ?profile ?placement plan in
-  Runtime.instantiate ?fame5 ?scheduler ?batch_cycles ?spin_budget ?groups
-    ?telemetry ?profile ?engine ?lanes plan
+  Runtime.instantiate ?fame5 ?scheduler ?groups ?telemetry ?profile ?engine
+    ?lanes plan
 
 (** Instantiates [plan] with [remote_units] hosted in worker processes
     and wraps the handle in a crash-recovering supervisor: durable
@@ -61,14 +61,13 @@ let instantiate ?fame5 ?scheduler ?batch_cycles ?spin_budget ?placement
     workers respawned under [policy], optional seeded [chaos].  Drive
     it with {!Resilience.Supervisor.run}; {!Resilience.Supervisor.close}
     when done. *)
-let supervise ?scheduler ?batch_cycles ?spin_budget ?placement ?read_timeout
-    ?telemetry ?profile ?engine ?lanes ?checkpoint_dir ?every ?policy ?chaos
-    ?on_event ~worker ~remote_units plan =
+let supervise ?scheduler ?placement ?read_timeout ?telemetry ?profile ?engine
+    ?lanes ?checkpoint_dir ?every ?policy ?chaos ?on_event ~worker ~remote_units
+    plan =
   let groups = placement_groups ?profile ?placement plan in
   let handle, _conns =
-    Runtime.instantiate_remote ?scheduler ?batch_cycles ?spin_budget ?groups
-      ?read_timeout ?telemetry ?profile ?engine ?lanes ~worker ~remote_units
-      plan
+    Runtime.instantiate_remote ?scheduler ?groups ?read_timeout ?telemetry
+      ?profile ?engine ?lanes ~worker ~remote_units plan
   in
   Resilience.Supervisor.create ?checkpoint_dir ?every ?policy ?chaos ?on_event
     ~worker handle
@@ -155,10 +154,9 @@ let wave_diff ?(scheduler = Libdn.Scheduler.default) ?(mode = Spec.Exact) ?engin
     [circuit] is re-generated per run so simulations are independent.
     When [probes] are given, a side-by-side {!wave_diff} of the
     monolithic and exact runs localizes any divergence. *)
-let validate ?(scheduler = Libdn.Scheduler.default) ?batch_cycles ?spin_budget
-    ?placement ?engine ?lanes ?profile ?(probes = []) ?wave_out ~name ~circuit
-    ~selection ?(setup = fun ~poke:_ -> ()) ~finished ?(max_cycles = 1_000_000)
-    () =
+let validate ?(scheduler = Libdn.Scheduler.default) ?placement ?engine ?lanes
+    ?profile ?(probes = []) ?wave_out ~name ~circuit ~selection
+    ?(setup = fun ~poke:_ -> ()) ~finished ?(max_cycles = 1_000_000) () =
   let mono =
     run_monolithic_until (circuit ()) ~setup ~finished ~max_cycles
   in
@@ -180,8 +178,7 @@ let validate ?(scheduler = Libdn.Scheduler.default) ?batch_cycles ?spin_budget
     let config = { Spec.default_config with Spec.mode; selection } in
     let plan = compile ~config (circuit ()) in
     let handle =
-      instantiate ~scheduler ?batch_cycles ?spin_budget ?placement ?engine
-        ?lanes ?profile plan
+      instantiate ~scheduler ?placement ?engine ?lanes ?profile plan
     in
     run_partitioned_until handle ~setup ~finished ~max_cycles
   in
@@ -287,9 +284,9 @@ let find_divergence ~golden ~handle ~signals ?(stride = 500) ~max_cycles () =
     state (registers, memories, cycle counter).  Returns the names of
     mismatching units: [[]] certifies that the parallel scheduler is
     cycle-identical to the sequential reference on this plan. *)
-let crosscheck_schedulers ?(cycles = 100) ?batch_cycles ?placement plan =
+let crosscheck_schedulers ?(cycles = 100) ?placement plan =
   let snapshot scheduler =
-    let handle = instantiate ~scheduler ?batch_cycles ?placement plan in
+    let handle = instantiate ~scheduler ?placement plan in
     Runtime.run handle ~cycles;
     Array.map
       (fun (u : Plan.unit_part) ->

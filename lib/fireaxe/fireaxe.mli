@@ -48,19 +48,13 @@ val report : Plan.t -> Report.t
     non-FAME-5 unit engine that many execution lanes (N identical
     copies advanced in lockstep; bytecode engine only).
 
-    [batch_cycles] caps cycle-batched token exchange — the software
-    analogue of the paper's fast-mode crossing amortization (1 =
-    per-cycle, the default; bit-exact either way by LI-BDN
-    determinism).  [spin_budget] tunes the parallel scheduler's
-    spin-then-park idle policy (0 = never spin).  [placement] picks the
-    partition-to-domain assignment; [Place.Auto] weighs units by
-    [profile]'s load model when it recorded one (a previous run's
-    measured truth), else by the static resource estimate. *)
+    [placement] picks the partition-to-domain assignment; [Place.Auto]
+    weighs units by [profile]'s load model when it recorded one (a
+    previous run's measured truth), else by the static resource
+    estimate. *)
 val instantiate :
   ?fame5:bool ->
   ?scheduler:Libdn.Scheduler.t ->
-  ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?placement:Place.policy ->
   ?telemetry:Telemetry.t ->
   ?profile:Telemetry.Profile.t ->
@@ -79,8 +73,6 @@ val instantiate :
     workers when done. *)
 val supervise :
   ?scheduler:Libdn.Scheduler.t ->
-  ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?placement:Place.policy ->
   ?read_timeout:float ->
   ?telemetry:Telemetry.t ->
@@ -158,8 +150,6 @@ val wave_diff :
     compact {!Debug.Wavestore} binary format. *)
 val validate :
   ?scheduler:Libdn.Scheduler.t ->
-  ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?placement:Place.policy ->
   ?engine:Rtlsim.Sim.engine ->
   ?lanes:int ->
@@ -199,12 +189,10 @@ val find_divergence :
     cycles each, and compares every unit's architectural state
     (registers, memories, cycle counter).  Returns the names of
     mismatching units — [[]] certifies scheduler equivalence.
-    [batch_cycles]/[placement] apply to both runs, so a batched,
-    fused-domain parallel run is checked against the batched sequential
-    reference. *)
+    [placement] applies to both runs, so a fused-domain parallel run is
+    checked against the sequential reference. *)
 val crosscheck_schedulers :
   ?cycles:int ->
-  ?batch_cycles:int ->
   ?placement:Place.policy ->
   Plan.t ->
   string list

@@ -12,9 +12,6 @@ type handle = {
   h_plan : Plan.t;
   h_net : Libdn.Network.t;
   h_scheduler : Libdn.Scheduler.t;  (** execution policy for [run]/[run_until] *)
-  h_batch_cycles : int;
-      (** cap on cycle-batched token exchange (1 = per-cycle) *)
-  h_spin_budget : int option;  (** spin-then-park tuning (0 = never spin) *)
   h_engines : Libdn.Engine.t array;  (** indexed by plan unit *)
   h_sims : Rtlsim.Sim.t option array;  (** backing sims of non-FAME-5 units *)
   h_fame5 : Goldengate.Fame5.t option array;
@@ -104,13 +101,9 @@ let build_network ?(telemetry = Telemetry.null)
     all lanes).  FAME-5 units ignore it — their lane count is their
     thread count.
 
-    [batch_cycles] caps cycle-batched token exchange (1 = per-cycle,
-    the default; bit-exact either way); [spin_budget] tunes the
-    parallel scheduler's spin-then-park idle policy (0 = never spin);
     [groups] applies a domain-placement assignment (one slot per unit —
     see [Platform.Place]) fusing partitions onto shared domains. *)
-let instantiate ?(fame5 = false) ?(scheduler = Libdn.Scheduler.default)
-    ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?spin_budget ?groups
+let instantiate ?(fame5 = false) ?(scheduler = Libdn.Scheduler.default) ?groups
     ?(telemetry = Telemetry.null) ?(profile = Telemetry.Profile.null) ?engine
     ?lanes (plan : Plan.t) =
   let n = Plan.n_units plan in
@@ -146,8 +139,6 @@ let instantiate ?(fame5 = false) ?(scheduler = Libdn.Scheduler.default)
     h_plan = plan;
     h_net = net;
     h_scheduler = scheduler;
-    h_batch_cycles = batch_cycles;
-    h_spin_budget = spin_budget;
     h_engines = engines;
     h_sims = sims;
     h_fame5 = fame5s;
@@ -173,8 +164,7 @@ let with_unit_fir (plan : Plan.t) k f =
     and [locate] skip them; use the connection's poke/peek instead
     (snapshots DO cover them, through the worker pipe protocol).
     [read_timeout] bounds every worker reply wait in seconds. *)
-let instantiate_remote ?(scheduler = Libdn.Scheduler.default)
-    ?(batch_cycles = Libdn.Scheduler.default_batch_cycles) ?spin_budget ?groups
+let instantiate_remote ?(scheduler = Libdn.Scheduler.default) ?groups
     ?read_timeout ?(telemetry = Telemetry.null)
     ?(profile = Telemetry.Profile.null) ?engine ?lanes ~worker ~remote_units
     (plan : Plan.t) =
@@ -215,8 +205,6 @@ let instantiate_remote ?(scheduler = Libdn.Scheduler.default)
       h_plan = plan;
       h_net = net;
       h_scheduler = scheduler;
-      h_batch_cycles = batch_cycles;
-      h_spin_budget = spin_budget;
       h_engines = engines;
       h_sims = sims;
       h_fame5 = fame5s;
@@ -245,7 +233,6 @@ let respawn_remote h k ~worker =
         Libdn.Remote_engine.reconnect conn ~worker ~fir_path:path)
 
 let scheduler h = h.h_scheduler
-let batch_cycles h = h.h_batch_cycles
 
 (** The sink every layer of this handle records into ({!Telemetry.null}
     when instantiated without one). *)
@@ -268,14 +255,10 @@ let collect_remote_profiles h =
       | None -> ())
     (remote_conns h)
 
-let run h ~cycles =
-  Libdn.Scheduler.run ~scheduler:h.h_scheduler ~batch_cycles:h.h_batch_cycles
-    ?spin_budget:h.h_spin_budget h.h_net ~cycles
+let run h ~cycles = Libdn.Scheduler.run ~scheduler:h.h_scheduler h.h_net ~cycles
 
 let run_until h ~max_cycles pred =
-  Libdn.Scheduler.run_until ~scheduler:h.h_scheduler
-    ~batch_cycles:h.h_batch_cycles ?spin_budget:h.h_spin_budget h.h_net
-    ~max_cycles
+  Libdn.Scheduler.run_until ~scheduler:h.h_scheduler h.h_net ~max_cycles
     (fun _ -> pred h)
 
 let engine h k = h.h_engines.(k)

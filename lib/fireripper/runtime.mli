@@ -5,9 +5,6 @@ type handle = {
   h_plan : Plan.t;
   h_net : Libdn.Network.t;
   h_scheduler : Libdn.Scheduler.t;
-  h_batch_cycles : int;
-      (** cap on cycle-batched token exchange (1 = per-cycle) *)
-  h_spin_budget : int option;  (** spin-then-park tuning (0 = never spin) *)
   h_engines : Libdn.Engine.t array;
   h_sims : Rtlsim.Sim.t option array;
   h_fame5 : Goldengate.Fame5.t option array;
@@ -34,17 +31,11 @@ val fame5_eligible : Plan.unit_part -> (string list * string) option
     inputs broadcast to all lanes (bytecode engine only).  FAME-5
     units ignore [lanes]: their lane count is their thread count.
 
-    [batch_cycles] caps cycle-batched token exchange (1 = per-cycle,
-    the default; bit-exact either way by LI-BDN determinism);
-    [spin_budget] tunes the parallel scheduler's spin-then-park idle
-    policy (0 = never spin); [groups] applies a domain-placement
-    assignment (one slot per unit — see [Platform.Place]) fusing
-    partitions onto shared domains. *)
+    [groups] applies a domain-placement assignment (one slot per unit —
+    see [Platform.Place]) fusing partitions onto shared domains. *)
 val instantiate :
   ?fame5:bool ->
   ?scheduler:Libdn.Scheduler.t ->
-  ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?groups:int array ->
   ?telemetry:Telemetry.t ->
   ?profile:Telemetry.Profile.t ->
@@ -66,8 +57,6 @@ val instantiate :
     worker's command line (replayed on respawn). *)
 val instantiate_remote :
   ?scheduler:Libdn.Scheduler.t ->
-  ?batch_cycles:int ->
-  ?spin_budget:int ->
   ?groups:int array ->
   ?read_timeout:float ->
   ?telemetry:Telemetry.t ->
@@ -94,9 +83,6 @@ val respawn_remote : handle -> int -> worker:string -> unit
 
 (** The execution policy this handle runs under. *)
 val scheduler : handle -> Libdn.Scheduler.t
-
-(** The cycle-batching cap this handle runs with (1 = per-cycle). *)
-val batch_cycles : handle -> int
 
 (** The sink every layer of this handle records into ({!Telemetry.null}
     when instantiated without one). *)

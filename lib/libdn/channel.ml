@@ -13,9 +13,6 @@ let width spec = List.fold_left (fun acc (_, w) -> acc + w) 0 spec.ports
 
 type token = int array
 
-let token_of_ports spec get : token =
-  Array.of_list (List.map (fun (p, _) -> get p) spec.ports)
-
 (* Batched gather: all the channel's ports in one engine call — one
    protocol round trip when the engine is remote. *)
 let token_of_ports_batch spec get_ports : token =
@@ -140,85 +137,21 @@ module Bqueue = struct
     Notifier.bump n;
     Mutex.unlock n.Notifier.n_mu
 
-  (* Slab enqueue: the whole batch goes in under ONE lock with ONE
-     wakeup bump — the amortization that makes K-cycle batched exchange
-     cheaper than K single pushes.  With [block], a full queue publishes
-     the prefix already enqueued (so the consumer can drain it) and
-     waits for space; without, {!Full} is raised when the remainder does
-     not fit — the prefix stays enqueued, which is fine because the
-     sequential scheduler treats Full as a hard error anyway. *)
-  let push_list t xs ~block ~abort =
-    match xs with
-    | [] -> ()
-    | xs ->
-      let n = t.bq_notif in
-      Mutex.lock n.Notifier.n_mu;
-      (try
-         List.iter
-           (fun x ->
-             if Queue.length t.bq_q >= t.bq_capacity then begin
-               if not block then raise Full;
-               Notifier.bump n;
-               while Queue.length t.bq_q >= t.bq_capacity && not (abort ()) do
-                 Notifier.wait n
-               done;
-               if abort () then raise Aborted
-             end;
-             Queue.push x t.bq_q)
-           xs
-       with e ->
-         Notifier.bump n;
-         Mutex.unlock n.Notifier.n_mu;
-         raise e);
-      Notifier.bump n;
-      Mutex.unlock n.Notifier.n_mu
-
   let peek_opt t =
     Mutex.lock t.bq_notif.Notifier.n_mu;
     let v = Queue.peek_opt t.bq_q in
     Mutex.unlock t.bq_notif.Notifier.n_mu;
     v
 
-  (* Head peek without taking the notifier mutex: for batched sweeps
-     that snapshot several sibling queues under one lock the caller
-     already holds. *)
+  (* Head peek without taking the notifier mutex: for sweeps that
+     snapshot several sibling queues under one lock the caller already
+     holds. *)
   let peek_opt_unlocked t = Queue.peek_opt t.bq_q
-
-  (* Slab peek: up to [n] head tokens in queue order, without touching
-     the lock — the multi-cycle sweep snapshots every sibling queue's
-     batch under the single notifier lock the caller already holds.
-     Lazy [Seq] traversal, so cost is O(min n length) not O(length). *)
-  let peek_upto_unlocked t n =
-    if n <= 0 then [||] else Queue.to_seq t.bq_q |> Seq.take n |> Array.of_seq
 
   (* Pops the head without bumping the notifier: the caller batches
      drops across sibling queues under one lock and bumps once.  Must be
      called with the notifier mutex held and the queue non-empty. *)
   let drop_unlocked t = ignore (Queue.pop t.bq_q)
-
-  (* Slab drop, same contract as {!drop_unlocked}: the queue must hold
-     at least [n] elements. *)
-  let drop_n_unlocked t n =
-    for _ = 1 to n do
-      ignore (Queue.pop t.bq_q)
-    done
-
-  (* Locked slab drop: [n] heads gone under one lock with one bump. *)
-  let drop_n t n =
-    if n > 0 then begin
-      Mutex.lock t.bq_notif.Notifier.n_mu;
-      drop_n_unlocked t n;
-      Notifier.bump t.bq_notif;
-      Mutex.unlock t.bq_notif.Notifier.n_mu
-    end
-
-  (* Drops the head token (consumer side), freeing space and waking any
-     producer blocked on a full queue. *)
-  let drop t =
-    Mutex.lock t.bq_notif.Notifier.n_mu;
-    ignore (Queue.pop t.bq_q);
-    Notifier.bump t.bq_notif;
-    Mutex.unlock t.bq_notif.Notifier.n_mu
 
   let is_empty t =
     Mutex.lock t.bq_notif.Notifier.n_mu;

@@ -13,9 +13,6 @@ val width : spec -> int
 
 type token = int array
 
-(** Gathers a token from the channel's ports via [get]. *)
-val token_of_ports : spec -> (string -> int) -> token
-
 (** Gathers a token through one batched read of every port — one
     protocol round trip when the reader proxies a remote engine. *)
 val token_of_ports_batch : spec -> (string list -> int list) -> token
@@ -82,38 +79,16 @@ module Bqueue : sig
       capacity. *)
   val push : 'a t -> 'a -> block:bool -> abort:(unit -> bool) -> unit
 
-  (** Slab enqueue: the whole batch under one lock with one wakeup bump
-      (one synchronization per K tokens).  With [block], a full queue
-      publishes the prefix already enqueued and waits for space; without,
-      raises {!Full} when the remainder does not fit (the prefix stays
-      enqueued). *)
-  val push_list : 'a t -> 'a list -> block:bool -> abort:(unit -> bool) -> unit
-
   val peek_opt : 'a t -> 'a option
 
-  (** Head peek without locking: for batched sweeps that snapshot
-      several sibling queues under one notifier lock the caller already
-      holds. *)
+  (** Head peek without locking: for sweeps that snapshot several
+      sibling queues under one notifier lock the caller already holds. *)
   val peek_opt_unlocked : 'a t -> 'a option
-
-  (** Up to [n] head tokens in queue order, without locking (same
-      contract as {!peek_opt_unlocked}); O(min n length). *)
-  val peek_upto_unlocked : 'a t -> int -> 'a array
-
-  (** Drops the head token, waking producers blocked on a full queue. *)
-  val drop : 'a t -> unit
 
   (** Pops the head without bumping the notifier: callers batch drops
       across sibling queues under one lock and bump once.  Call with the
       notifier mutex held and the queue non-empty. *)
   val drop_unlocked : 'a t -> unit
-
-  (** Slab {!drop_unlocked}: pops [n] heads; the queue must hold at
-      least [n] elements. *)
-  val drop_n_unlocked : 'a t -> int -> unit
-
-  (** Locked slab drop: [n] heads gone under one lock with one bump. *)
-  val drop_n : 'a t -> int -> unit
 
   val is_empty : 'a t -> bool
   val length : 'a t -> int

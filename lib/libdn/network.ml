@@ -12,12 +12,13 @@
    its output channels have fired.
 
    This module is the passive *topology*: partitions, channels,
-   connections, seed tokens, and the two primitive state transitions
-   ({!try_fire}, {!try_advance}) those firing rules allow.  It does not
-   decide WHEN to attempt them — that is the {!Scheduler}'s job, which
-   may sweep partitions round-robin in one thread or run each partition
-   on its own domain.  Tokens are the only cross-partition (and
-   cross-domain) communication, mirroring the QSFP cable. *)
+   connections, seed tokens, and {!sweep}, the one state transition
+   those firing rules allow (fire every ready output, then advance if
+   possible).  It does not decide WHEN to sweep a partition — that is
+   the {!Scheduler}'s job, which may visit partitions round-robin in one
+   thread or spread them over domains.  Tokens are the only
+   cross-partition (and cross-domain) communication, mirroring the QSFP
+   cable. *)
 
 type in_chan = {
   ic_spec : Channel.spec;
@@ -27,7 +28,7 @@ type in_chan = {
   ic_peak : Telemetry.gauge;  (** peak queue occupancy observed *)
   ic_stalled : Telemetry.counter;
       (** times this input was the blocking one when its partition
-          stalled (see {!blocking_input}) *)
+          stalled (see {!record_stall}) *)
   ic_prof : Telemetry.Profile.chan;
       (** per-channel exchange cost (enq+deq ns, batch sizes) *)
 }
@@ -269,11 +270,13 @@ let set_groups t assign =
     partition). *)
 let groups t = t.groups
 
-(** Applies every partition's drive hook for target cycle 0.  Schedulers
-    call this once at the start of each run. *)
+(** Applies every partition's drive hook for the partition's current
+    target cycle (0 on a fresh network).  Schedulers call this once at
+    the start of each run, so a run resumed at cycle N drives cycle N,
+    not cycle 0 again. *)
 let prime t =
   freeze t;
-  Array.iter (fun p -> p.pt_drive p.pt_engine 0) t.frozen
+  Array.iter (fun p -> p.pt_drive p.pt_engine p.pt_cycle) t.frozen
 
 (** Captures the structured network-state snapshot every diagnostic
     derives from: per partition, the target cycle, input-queue depths,
@@ -317,76 +320,10 @@ let introspect t : Telemetry.Snapshot.t =
   in
   { Telemetry.Snapshot.parts }
 
-let diagnose t = Telemetry.Snapshot.to_string (introspect t)
-
-(* Applies the head token of input channel [i] to the engine inputs. *)
-let apply_head p i =
-  let ic = p.pt_ins.(i) in
-  match Channel.Bqueue.peek_opt ic.ic_queue with
-  | Some tok -> Channel.apply_token ic.ic_spec p.pt_engine.Engine.set_input tok
-  | None -> invalid_arg "apply_head: empty queue"
-
-(** Attempts the output-channel firing rule: if [oc] has not fired for
-    the current target cycle and every input channel it depends on holds
-    a token, evaluates its cone and sends the token to all destinations.
-    [block] selects backpressure behavior on a full destination queue
-    (parallel scheduler blocks, sequential treats it as a hard error);
-    [abort] lets a blocked push bail out.  Returns whether it fired. *)
-let try_fire t p oc ~block ~abort =
-  Telemetry.incr oc.oc_attempts;
-  if
-    (not oc.oc_fired)
-    && List.for_all
-         (fun i -> not (Channel.Bqueue.is_empty p.pt_ins.(i).ic_queue))
-         oc.oc_deps
-  then begin
-    List.iter (apply_head p) oc.oc_deps;
-    oc.oc_eval ();
-    let tok = Channel.token_of_ports_batch oc.oc_spec p.pt_engine.Engine.get_ports in
-    oc.oc_fired <- true;
-    List.iter
-      (fun (dp, di) ->
-        let dst = t.frozen.(dp).pt_ins.(di) in
-        Channel.Bqueue.push dst.ic_queue (Array.copy tok) ~block ~abort;
-        Atomic.incr t.token_transfers;
-        if t.tel_on then begin
-          Telemetry.incr dst.ic_enq;
-          Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
-        end)
-      oc.oc_dests;
-    Telemetry.incr oc.oc_fires;
-    true
-  end
-  else false
-
-(** Attempts the fireFSM advance rule: if every input channel holds a
-    token and every output channel has fired, applies the inputs, steps
-    the engine one target cycle, consumes the tokens, resets the fired
-    flags and calls the drive hook for the new cycle.  Returns whether
-    it advanced. *)
-let try_advance p =
-  if
-    Array.for_all (fun ic -> not (Channel.Bqueue.is_empty ic.ic_queue)) p.pt_ins
-    && Array.for_all (fun oc -> oc.oc_fired) p.pt_outs
-  then begin
-    Array.iteri (fun i _ -> apply_head p i) p.pt_ins;
-    p.pt_engine.Engine.eval_comb ();
-    p.pt_engine.Engine.step_seq ();
-    Array.iter
-      (fun ic ->
-        Channel.Bqueue.drop ic.ic_queue;
-        Telemetry.incr ic.ic_deq)
-      p.pt_ins;
-    Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
-    p.pt_cycle <- p.pt_cycle + 1;
-    p.pt_drive p.pt_engine p.pt_cycle;
-    true
-  end
-  else false
-
-(** One batched attempt over everything partition [p] can do — the
-    amortized equivalent of [try_fire] on every output followed by
-    [try_advance], designed to touch the shared queue locks a constant
+(** One attempt at everything partition [p] can do: fire every output
+    whose dependencies hold tokens (the firing rule), then advance one
+    target cycle if every input holds a token and every output has fired
+    (the fireFSM rule).  It touches the shared queue locks a constant
     number of times per sweep instead of a few times per channel:
 
     - ONE notifier lock snapshots every input channel's head token.
@@ -437,6 +374,9 @@ let sweep t p ~block ~abort =
         oc.oc_eval ();
         let tok = Channel.token_of_ports_batch oc.oc_spec p.pt_engine.Engine.get_ports in
         oc.oc_fired <- true;
+        (* Every destination shares [tok]: tokens are built fresh above
+           and never mutated afterwards — [apply_token] and the debug
+           readers only read them, and checkpoints and snapshots copy. *)
         List.iter
           (fun (dp, di) ->
             let dst = t.frozen.(dp).pt_ins.(di) in
@@ -444,12 +384,12 @@ let sweep t p ~block ~abort =
               (* Enqueue cost lands on the destination channel and on
                  the executing partition's exchange slice. *)
               let t0 = Telemetry.Profile.now_ns t.prof in
-              Channel.Bqueue.push dst.ic_queue (Array.copy tok) ~block ~abort;
+              Channel.Bqueue.push dst.ic_queue tok ~block ~abort;
               let dt = Telemetry.Profile.now_ns t.prof - t0 in
               Telemetry.Profile.add_enq dst.ic_prof ~tokens:1 dt;
               Telemetry.Profile.add_exchange p.pt_prof dt
             end
-            else Channel.Bqueue.push dst.ic_queue (Array.copy tok) ~block ~abort;
+            else Channel.Bqueue.push dst.ic_queue tok ~block ~abort;
             Atomic.incr t.token_transfers;
             if t.tel_on then begin
               Telemetry.incr dst.ic_enq;
@@ -496,175 +436,13 @@ let sweep t p ~block ~abort =
   end;
   !progress
 
-(** Cycle-batched sweep — the software generalization of the paper's
-    fast-mode crossing amortization: fire and advance partition [p] for
-    up to [max_cycles] consecutive target cycles from ONE snapshot of
-    its input queues, deferring every cross-partition token until the
-    end so the whole batch costs one locked snapshot, one locked
-    multi-drop and one slab push per destination queue — instead of
-    that much synchronization PER CYCLE.
-
-    Equivalence with per-cycle exchange is by construction: the LI-BDN
-    firing rules make token streams deterministic regardless of attempt
-    order, and deferring a push is merely a different attempt order (the
-    destination sees the same tokens in the same sequence, just later in
-    wall time).  Exact mode therefore preserves LI-BDN timing bit-for-
-    bit; fast mode works unchanged on top of its seed tokens (the seeded
-    slack is precisely what lets a batch run longer than one cycle).
-
-    Internals:
-    - ONE notifier lock snapshots up to [max_cycles] tokens per input
-      channel (sound: this domain is the sole consumer, so snapshot
-      heads stay the heads until we drop them).
-    - A local loop fires ready outputs and advances the fireFSM against
-      cursor positions into the snapshot; produced tokens accumulate in
-      per-output pending slabs.  Self-destined tokens are ALSO deferred
-      — the next call picks them up, matching the unbatched sweep,
-      which likewise never sees its own sweep's pushes (its head
-      snapshot predates them).
-    - Flush: first the consumed input heads are dropped under one lock
-      with a single wakeup bump (freeing space for our producers —
-      dropping BEFORE pushing is what keeps two mutually-full partitions
-      from blocking on each other's flushes), then each pending slab is
-      pushed with one {!Channel.Bqueue.push_list} per destination.
-
-    Never advances past [limit] (the run target).  Returns
-    [(cycles_advanced, any_progress)]; no pending state survives the
-    call, so quiescence checks, checkpoints and introspection stay
-    sound unchanged. *)
-let sweep_batch t p ~limit ~max_cycles ~block ~abort =
-  freeze t;
-  let budget = min max_cycles (limit - p.pt_cycle) in
-  if budget <= 1 then begin
-    let c0 = p.pt_cycle in
-    let progress = sweep t p ~block ~abort in
-    (p.pt_cycle - c0, progress)
-  end
-  else begin
-    let n = p.pt_notif in
-    let ni = Array.length p.pt_ins in
-    let heads =
-      if ni = 0 then [||]
-      else begin
-        Mutex.lock n.Channel.Notifier.n_mu;
-        let hs =
-          Array.map
-            (fun ic -> Channel.Bqueue.peek_upto_unlocked ic.ic_queue budget)
-            p.pt_ins
-        in
-        Mutex.unlock n.Channel.Notifier.n_mu;
-        hs
-      end
-    in
-    let pos = Array.make (max ni 1) 0 in
-    let applied = Array.make (max ni 1) (-1) in
-    let no = Array.length p.pt_outs in
-    let pending = Array.make (max no 1) [] in
-    let progress = ref false in
-    let advanced = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let step = !advanced in
-      let avail i = pos.(i) < Array.length heads.(i) in
-      let apply_once i =
-        if applied.(i) < step then begin
-          applied.(i) <- step;
-          Channel.apply_token p.pt_ins.(i).ic_spec p.pt_engine.Engine.set_input
-            heads.(i).(pos.(i))
-        end
-      in
-      Array.iteri
-        (fun oi oc ->
-          Telemetry.incr oc.oc_attempts;
-          if (not oc.oc_fired) && List.for_all avail oc.oc_deps then begin
-            List.iter apply_once oc.oc_deps;
-            oc.oc_eval ();
-            let tok = Channel.token_of_ports_batch oc.oc_spec p.pt_engine.Engine.get_ports in
-            oc.oc_fired <- true;
-            if oc.oc_dests <> [] then pending.(oi) <- tok :: pending.(oi);
-            Telemetry.incr oc.oc_fires;
-            progress := true
-          end)
-        p.pt_outs;
-      let all_inputs =
-        let rec go i = i >= ni || (avail i && go (i + 1)) in
-        go 0
-      in
-      if all_inputs && Array.for_all (fun oc -> oc.oc_fired) p.pt_outs then begin
-        for i = 0 to ni - 1 do
-          apply_once i
-        done;
-        p.pt_engine.Engine.eval_comb ();
-        p.pt_engine.Engine.step_seq ();
-        for i = 0 to ni - 1 do
-          pos.(i) <- pos.(i) + 1
-        done;
-        Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
-        p.pt_cycle <- p.pt_cycle + 1;
-        incr advanced;
-        progress := true;
-        p.pt_drive p.pt_engine p.pt_cycle;
-        if !advanced >= budget then continue_ := false
-      end
-      else continue_ := false
-    done;
-    if t.prof_on && !advanced > 0 then Telemetry.Profile.add_cycles p.pt_prof !advanced;
-    (* Flush, drops first: every advance consumed one head per input. *)
-    if ni > 0 && !advanced > 0 then begin
-      let t0 = if t.prof_on then Telemetry.Profile.now_ns t.prof else 0 in
-      Mutex.lock n.Channel.Notifier.n_mu;
-      Array.iter
-        (fun ic ->
-          Channel.Bqueue.drop_n_unlocked ic.ic_queue !advanced;
-          Telemetry.add ic.ic_deq !advanced)
-        p.pt_ins;
-      Channel.Notifier.bump n;
-      Mutex.unlock n.Channel.Notifier.n_mu;
-      if t.prof_on then begin
-        let dt = Telemetry.Profile.now_ns t.prof - t0 in
-        Telemetry.Profile.add_exchange p.pt_prof dt;
-        let share = dt / ni in
-        Array.iter
-          (fun ic -> Telemetry.Profile.add_deq ic.ic_prof ~tokens:!advanced share)
-          p.pt_ins
-      end
-    end;
-    Array.iteri
-      (fun oi oc ->
-        match pending.(oi) with
-        | [] -> ()
-        | rev_toks ->
-          let toks = List.rev rev_toks in
-          let k = List.length toks in
-          List.iter
-            (fun (dp, di) ->
-              let dst = t.frozen.(dp).pt_ins.(di) in
-              let copies = List.map Array.copy toks in
-              if t.prof_on then begin
-                let t0 = Telemetry.Profile.now_ns t.prof in
-                Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
-                let dt = Telemetry.Profile.now_ns t.prof - t0 in
-                Telemetry.Profile.add_enq dst.ic_prof ~tokens:k dt;
-                Telemetry.Profile.add_exchange p.pt_prof dt
-              end
-              else Channel.Bqueue.push_list dst.ic_queue copies ~block ~abort;
-              ignore (Atomic.fetch_and_add t.token_transfers k);
-              if t.tel_on then begin
-                Telemetry.add dst.ic_enq k;
-                Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
-              end)
-            oc.oc_dests)
-      p.pt_outs;
-    (!advanced, !progress)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Quiescence (deadlock detection)                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Whether the firing rules permit [p] any state transition, judged
-   purely from token availability and fired flags — the same condition
-   {!try_fire}/{!try_advance} test before touching the engine.  Reads
+   purely from token availability and fired flags — the same conditions
+   {!sweep} tests before touching the engine.  Reads
    are unsynchronized: only call when every domain that could mutate the
    state is parked (all-blocked in the parallel scheduler, or trivially
    in the sequential one). *)
@@ -723,10 +501,6 @@ let record_stall p =
   | Some ic ->
     Telemetry.incr ic.ic_stalled;
     Some ic.ic_spec.Channel.name
-
-let deadlock_message t =
-  "LI-BDN deadlock: network is quiescent — no output channel can fire and no \
-   partition can advance\n" ^ diagnose t
 
 (** Captures the structured snapshot, records it on the network's
     telemetry sinks (metrics registry and trace collector), and raises

@@ -447,10 +447,9 @@ let engine conn =
     Engine.set_input = (fun name v -> send conn "set %s %d" name v);
     get = (fun name -> ask_int conn "get %s" name);
     (* Per-channel token gather in ONE round trip (the worker's batched
-       [sample] command) — the protocol-level half of crossing
-       amortization: the no-reply set/eval/step stream pipelines freely
-       between gathers, so a K-cycle batch pays K round trips per
-       output channel, not K x ports. *)
+       [sample] command): the no-reply set/eval/step stream pipelines
+       freely between gathers, so a target cycle pays one round trip per
+       output channel, not one per port. *)
     get_ports = (fun names -> sample conn names);
     eval_comb = (fun () -> send conn "eval");
     step_seq = (fun () -> send conn "step");

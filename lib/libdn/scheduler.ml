@@ -1,38 +1,40 @@
 (* Schedulers: execution policies over a passive {!Network} topology.
 
    The LI-BDN firing rules make token streams deterministic regardless
-   of attempt order, so any policy that keeps attempting {!Network.try_fire}
-   and {!Network.try_advance} until every partition reaches the target
-   cycle computes the same register state.  Two policies are provided:
+   of attempt order, so any policy that keeps calling {!Network.sweep}
+   until every partition reaches the target cycle computes the same
+   register state.  Two policies are provided:
 
    - {!Sequential}: the classic single-threaded round-robin sweep, the
      reference implementation (and the right choice for cycle-stepping
      drivers that interleave host work between cycles).
 
-   - {!Parallel}: one OCaml 5 domain per partition, mirroring the
+   - {!Parallel}: partitions spread over OCaml 5 domains, mirroring the
      paper's deployment where each FPGA simulates its partition
      concurrently and simulation tokens are the only synchronization.
      Tokens move through the bounded thread-safe queues of
-     {!Channel.Bqueue}; an idle partition first spins on its notifier
+     {!Channel.Bqueue}; an idle worker first spins on its notifier
      version for an adaptive budget, then parks until a token arrives.
 
-   The parallel policy is host-adaptive: it sizes its execution to
-   [Domain.recommended_domain_count].  On a host with a single hardware
-   thread, domains cannot run concurrently — spawning them only adds
-   context switches and futex traffic on top of the sequential sweep —
-   so the policy multiplexes every partition cooperatively on the
-   calling domain (same firing rules, same deadlock judgment, same
-   telemetry schema).  With fewer hardware threads than partitions,
-   domains are spawned but spinning is disabled: a spinner would burn a
-   core its producer needs.
+   Every parallel worker runs the same loop ({!par_worker}) over the
+   partitions it owns: one partition per domain by default (and always
+   under a live profile), or one fused group per domain under
+   {!Network.set_groups}.  On a host with a single hardware thread,
+   domains cannot run concurrently — spawning them only adds context
+   switches and futex traffic — so one worker owns every partition and
+   runs inline on the calling domain (same firing rules, same deadlock
+   judgment, same telemetry schema).  With fewer hardware threads than
+   workers, domains are spawned but spinning is disabled: a spinner
+   would burn a core its producer needs.
 
    Deadlock (the Fig. 2a merged-channel scenario) is detected in both
    policies by the same authoritative quiescence check
    ({!Network.quiescent}): the network is dead iff no unfinished
    partition's firing rules permit any transition.  In the parallel
-   scheduler the check runs when the last unfinished domain parks; a
-   false alarm is impossible because the check inspects actual token
-   state, not just the parked-domain count. *)
+   scheduler the check runs when the last unfinished worker parks (or
+   after a fruitless inline round); a false alarm is impossible because
+   the check inspects actual token state, not just the parked-worker
+   count. *)
 
 type t = Sequential | Parallel
 
@@ -50,11 +52,6 @@ let of_string = function
          (String.concat "|" accepted_names))
 
 let never_abort () = false
-
-(* Default cap on cycle-batched exchange (the [--batch-cycles] knob).
-   1 = per-cycle exchange, the historical behavior; schedulers receive
-   the cap explicitly from the runtime/CLI. *)
-let default_batch_cycles = 1
 
 (* ------------------------------------------------------------------ *)
 (* Static load-balanced placement (bin packing)                        *)
@@ -105,38 +102,40 @@ let pack ~weights ~domains =
 (* Sequential                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_seq ?(batch_cycles = default_batch_cycles) net ~cycles =
+(* One round-robin pass of {!Network.sweep} over the partitions still
+   short of [target]; whether any of them progressed. *)
+let seq_round net parts ~target =
+  let progress = ref false in
+  for i = 0 to Array.length parts - 1 do
+    let p = parts.(i) in
+    if p.Network.pt_cycle < target && Network.sweep net p ~block:false ~abort:never_abort
+    then progress := true
+  done;
+  !progress
+
+(* A no-progress round implies quiescence; the check is the
+   authoritative judgment shared with the parallel scheduler. *)
+let seq_deadlock net ~target =
+  assert (Network.quiescent net ~target);
+  Network.raise_deadlock net
+
+let run_seq net ~cycles =
   let parts = Network.partitions net in
   let sweeps = Telemetry.counter (Network.telemetry net) "sched.seq.sweeps" in
   let behind () = Array.exists (fun p -> p.Network.pt_cycle < cycles) parts in
   while behind () do
     Telemetry.incr sweeps;
-    let progress = ref false in
-    Array.iter
-      (fun p ->
-        if p.Network.pt_cycle < cycles then begin
-          let _, prog =
-            Network.sweep_batch net p ~limit:cycles ~max_cycles:batch_cycles
-              ~block:false ~abort:never_abort
-          in
-          if prog then progress := true
-        end)
-      parts;
-    if (not !progress) && behind () then begin
-      (* A no-progress sweep implies quiescence; the check is the
-         authoritative judgment shared with the parallel scheduler. *)
-      assert (Network.quiescent net ~target:cycles);
-      Network.raise_deadlock net
-    end
+    if (not (seq_round net parts ~target:cycles)) && behind () then
+      seq_deadlock net ~target:cycles
   done
 
 (* ------------------------------------------------------------------ *)
 (* Parallel                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Global coordination for one parallel run.  [m_blocked] counts domains
-   parked on their notifier; [m_unfinished] counts partitions still
-   short of the target.  Lock order: a partition's notifier mutex may be
+(* Global coordination for one parallel run.  [m_blocked] counts workers
+   parked on their notifier; [m_unfinished] counts workers still short
+   of the target.  Lock order: a partition's notifier mutex may be
    taken before [m_mu], never the other way around. *)
 type monitor = {
   m_mu : Mutex.t;
@@ -155,12 +154,11 @@ let declare_dead mon =
   mon.m_dead <- true;
   Atomic.set mon.m_abort true
 
-(* Parks a domain on [notif] (its partition's notifier — or the shared
-   group notifier under fused placement) until the input state changes
-   (version guard against missed wakeups).  The last unfinished domain
-   to park runs the quiescence check: with every other mutator
-   registered as parked (registration orders their writes before our
-   read via [m_mu]), the unsynchronized reads inside
+(* Parks a worker on [notif] (the notifier its partitions share) until
+   the input state changes (version guard against missed wakeups).  The
+   last unfinished worker to park runs the quiescence check: with every
+   other mutator registered as parked (registration orders their writes
+   before our read via [m_mu]), the unsynchronized reads inside
    {!Network.quiescent} are sound. *)
 let par_block net mon ~notif ~cycles ~seen =
   let n = notif in
@@ -188,8 +186,8 @@ let par_block net mon ~notif ~cycles ~seen =
     Mutex.unlock mon.m_mu
   end
 
-(* A domain that finishes (or aborts) must deregister from
-   [m_unfinished] and, when it leaves only parked domains behind, judge
+(* A worker that finishes (or aborts) must deregister from
+   [m_unfinished] and, when it leaves only parked workers behind, judge
    deadlock on their behalf — otherwise the stragglers park forever with
    nobody left to notice. *)
 let par_exit net mon ~cycles =
@@ -214,57 +212,73 @@ let par_fail net mon e =
   Mutex.unlock mon.m_mu;
   wake_all net
 
-(* Per-domain telemetry for one parallel worker.  Spans are recorded
-   only at block/unblock boundaries ("run" from segment start to park,
-   "stall" across each park, tagged with the blocking input channel), so
-   event counts are bounded by the number of stalls, not cycles.  Each
-   worker appends to its own per-partition track — registration is the
-   only synchronized step; appends happen from the owning domain with no
-   cross-domain coordination, and export only runs after the domains are
-   joined. *)
-type par_tel = {
-  w_on : bool;  (** any timing instrumentation active *)
-  w_clock : unit -> float;  (** µs on the trace collector's timeline *)
-  w_track : Telemetry.Chrome_trace.track option;
-  w_run_ns : Telemetry.counter;
-  w_idle_ns : Telemetry.counter;
-  w_barrier_ns : Telemetry.counter;
+(* One partition as seen by the worker that owns it: its telemetry
+   (Chrome track, [sched.par.<p>.*] counters) and the state of its
+   latest visit and open run segment. *)
+type member = {
+  part : Network.partition;
+  track : Telemetry.Chrome_trace.track option;
+  run_ns : Telemetry.counter;
+  idle_ns : Telemetry.counter;
+  spins : Telemetry.counter;
+  parks : Telemetry.counter;
+  mutable seg_start : float;  (** start of the open "run" segment (µs) *)
+  mutable stalled : bool;  (** the latest visit made no progress *)
+  mutable blocked : string option;  (** the input that stalled it *)
+  mutable visit_ns : int;  (** profile: how long that failed visit took *)
 }
 
-let par_tel net p =
+let member net p =
   let tel = Network.telemetry net in
   let name = p.Network.pt_name in
-  let metric kind = Printf.sprintf "sched.par.%s.%s" name kind in
-  let w_track, w_clock =
-    match Telemetry.trace tel with
-    | Some tc ->
-      ( Some
-          (Telemetry.Chrome_trace.track tc ~pid:p.Network.pt_index ~tid:0
-             ~pname:("partition " ^ name) ~name:"domain" ()),
-        fun () -> Telemetry.Chrome_trace.now_us tc )
-    | None ->
-      ( None,
-        (* The barrier attribution after the joins also needs finish
-           stamps when only the profiler is live. *)
-        if Telemetry.enabled tel || Network.profile_enabled net then
-          fun () -> Telemetry.now_us tel
-        else fun () -> 0. )
+  let counter kind =
+    Telemetry.counter tel (Printf.sprintf "sched.par.%s.%s" name kind)
   in
+  ignore (counter "barrier_ns");
   {
-    w_on = Telemetry.enabled tel;
-    w_clock;
-    w_track;
-    w_run_ns = Telemetry.counter tel (metric "run_ns");
-    w_idle_ns = Telemetry.counter tel (metric "idle_ns");
-    w_barrier_ns = Telemetry.counter tel (metric "barrier_ns");
+    part = p;
+    track =
+      Option.map
+        (fun tc ->
+          Telemetry.Chrome_trace.track tc ~pid:p.Network.pt_index ~tid:0
+            ~pname:("partition " ^ name) ~name:"domain" ())
+        (Telemetry.trace tel);
+    run_ns = counter "run_ns";
+    idle_ns = counter "idle_ns";
+    spins = counter "spins";
+    parks = counter "parks";
+    seg_start = 0.;
+    stalled = false;
+    blocked = None;
+    visit_ns = 0;
   }
+
+(* µs on the trace collector's timeline.  The barrier attribution after
+   the joins also needs finish stamps when only the profiler is live. *)
+let clock net =
+  let tel = Network.telemetry net in
+  match Telemetry.trace tel with
+  | Some tc -> fun () -> Telemetry.Chrome_trace.now_us tc
+  | None ->
+    if Telemetry.enabled tel || Network.profile_enabled net then fun () ->
+      Telemetry.now_us tel
+    else fun () -> 0.
 
 let ns_of_us us = int_of_float (us *. 1000.)
 
-let par_span w ~name ~args ~ts ~dur =
-  match w.w_track with
+(* Spans are recorded only at park boundaries and at finish, so event
+   counts are bounded by the number of stalls, not cycles.  Each member
+   appends to its own track from its worker's domain; export only runs
+   after the workers are joined. *)
+let span m ~name ~args ~ts ~dur =
+  match m.track with
   | Some tr when dur > 0. -> Telemetry.Chrome_trace.span tr ~name ~args ~ts ~dur ()
   | _ -> ()
+
+(* Closes [m]'s open "run" segment at [now] and charges it. *)
+let end_run m now =
+  Telemetry.add m.run_ns (ns_of_us (now -. m.seg_start));
+  span m ~name:"run" ~args:[] ~ts:m.seg_start ~dur:(now -. m.seg_start)
 
 (* Adaptive spin-then-park idle policy.  Parking costs a futex round
    trip plus a broadcast on the producer side — orders of magnitude more
@@ -280,15 +294,14 @@ let spin_max = 32768
 let spin_initial = 1024
 
 (* Hardware parallelism actually available, read once.  Sizes the
-   parallel policy: cooperative fallback at 1, spin-then-park only when
-   every partition domain can hold a core. *)
+   parallel policy: inline at 1, spin-then-park only when every worker
+   domain can hold a core. *)
 let host_domains = lazy (Domain.recommended_domain_count ())
 
 (* Test/bench override of the host-domain count (0 = auto).  Lets the
    real-domain path and its stall accounting be exercised — and its
    overhead measured against a like-for-like baseline — on hosts where
-   [Domain.recommended_domain_count] would force the cooperative
-   fallback. *)
+   [Domain.recommended_domain_count] would force the inline worker. *)
 let host_override = Atomic.make 0
 
 let set_host_domains n = Atomic.set host_override (max 0 n)
@@ -312,336 +325,167 @@ let spin_for notif ~seen ~abort ~budget =
   in
   go 0
 
-(* Spin-policy knobs for one run: [sp_initial]/[sp_max] bound the
-   adaptive budget; [sp_enabled] gates spinning entirely (the
-   [--spin-budget 0] escape hatch, and the oversubscription guard). *)
-type spin_cfg = { sp_enabled : bool; sp_initial : int; sp_max : int }
+(* The one parallel worker loop.  It owns [ps], partitions that share a
+   notifier (one partition, or a fused placement group), and sweeps
+   each unfinished member once per round.  After a round in which no
+   member progressed it idles on the shared notifier: spin for the
+   adaptive budget, then park.  [inline] marks the single worker that
+   owns every partition on a one-thread host and runs on the calling
+   domain: its pushes never block, it never idles (so its members need
+   not share a notifier), and a fruitless round is quiescence — the run
+   deadlocks exactly as {!run_seq} does.
 
-let spin_cfg ~spin ~spin_budget =
-  match spin_budget with
-  | Some 0 -> { sp_enabled = false; sp_initial = spin_min; sp_max = spin_min }
-  | Some s when s > 0 ->
-    { sp_enabled = spin; sp_initial = s; sp_max = max s spin_min }
-  | _ -> { sp_enabled = spin; sp_initial = spin_initial; sp_max = spin_max }
-
-(* Per-partition adaptive batch depth: starts at 1 and doubles while
-   batches run their full budget (tokens are plentiful — no channel
-   starved mid-batch), halves when a visit advanced nothing (the
-   partition is starving; back off toward per-cycle exchange and its
-   prompt wakeups).  Capped by [batch_cycles]. *)
-let adapt_batch k ~cap ~advanced =
-  if cap > 1 then begin
-    if advanced >= !k then k := min cap (!k * 2)
-    else if advanced = 0 then k := max 1 (!k / 2)
-  end
-
-let par_worker net mon p ~cycles ~started ~finished ~slot ~spin ~batch_cycles
-    ~spin_budget =
+   Accounting is per member, so a one-member worker counts what a
+   dedicated domain per partition would:
+   - a failed visit attributes the stall to its blocking input;
+   - a failed visit in a round where another member progressed counts
+     as one spin;
+   - a round with no progress counts one spin or one park for each
+     stalled member;
+   - each member's Chrome "run" segment closes at a park (the park
+     itself is a "stall" span tagged with the blocking input) and when
+     the member finishes;
+   - profile phases: a productive visit is "run" (token exchange carved
+     out by the network), a failed visit plus the busy-wait after it is
+     "spin", the off-CPU wait in [par_block] is "park" — so a one-member
+     worker's phases tile its domain's wall time. *)
+let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
   let abort () = Atomic.get mon.m_abort in
-  let w = par_tel net p in
-  let tel = Network.telemetry net in
-  let metric kind = Printf.sprintf "sched.par.%s.%s" p.Network.pt_name kind in
-  let spins = Telemetry.counter tel (metric "spins") in
-  let parks = Telemetry.counter tel (metric "parks") in
-  let prof = Network.profile net in
-  let pr = p.Network.pt_prof in
-  let pon = Telemetry.Profile.part_enabled pr in
-  let notif = p.Network.pt_notif in
-  let cfg = spin_cfg ~spin ~spin_budget in
-  let spin = cfg.sp_enabled in
-  let spin_budget = ref cfg.sp_initial in
-  let batch = ref 1 in
-  let sweep_p () =
-    let advanced, prog =
-      Network.sweep_batch net p ~limit:cycles ~max_cycles:!batch ~block:true
-        ~abort
-    in
-    adapt_batch batch ~cap:batch_cycles ~advanced;
-    prog
+  let on = Telemetry.enabled (Network.telemetry net) in
+  let pon = Network.profile_enabled net in
+  let now_ns =
+    let prof = Network.profile net in
+    if pon then fun () -> Telemetry.Profile.now_ns prof else fun () -> 0
   in
-  let seg_start = ref (w.w_clock ()) in
-  if w.w_on || pon then started.(slot) <- !seg_start;
-  (* Closes the current "run" segment at [now] and charges it. *)
-  let end_run now =
-    Telemetry.add w.w_run_ns (ns_of_us (now -. !seg_start));
-    par_span w ~name:"run" ~args:[] ~ts:!seg_start ~dur:(now -. !seg_start)
-  in
-  let park ~seen ~blocked_on =
-    if not w.w_on then par_block net mon ~notif ~cycles ~seen
-    else begin
-      let t_park = w.w_clock () in
-      end_run t_park;
-      par_block net mon ~notif ~cycles ~seen;
-      let t_wake = w.w_clock () in
-      Telemetry.add w.w_idle_ns (ns_of_us (t_wake -. t_park));
-      let args =
-        match blocked_on with
-        | None -> []
-        | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
-      in
-      par_span w ~name:"stall" ~args ~ts:t_park ~dur:(t_wake -. t_park);
-      seg_start := t_wake
+  let clock = clock net in
+  let ms = Array.map (member net) ps in
+  let notif = ps.(0).Network.pt_notif in
+  let budget = ref spin_initial in
+  let unfinished m = m.part.Network.pt_cycle < cycles in
+  let prof m = m.part.Network.pt_prof in
+  let t_start = clock () in
+  if on || pon then started.(slot) <- t_start;
+  Array.iter (fun m -> m.seg_start <- t_start) ms;
+  (* Profile stamp where the latest accounted interval ended: each
+     visit, spin and park starts there, so a member's phases tile its
+     worker's wall time with no unaccounted gaps. *)
+  let last_ns = ref (now_ns ()) in
+  let visit m =
+    m.stalled <- false;
+    unfinished m
+    && begin
+      let t0 = !last_ns in
+      let prog = Network.sweep net m.part ~block:(not inline) ~abort in
+      if not prog then begin
+        m.stalled <- true;
+        m.blocked <- (if on then Network.record_stall m.part else None)
+      end;
+      last_ns := now_ns ();
+      if prog then begin
+        Telemetry.Profile.add_run (prof m) (!last_ns - t0);
+        if on && not (unfinished m) then end_run m (clock ())
+      end
+      else m.visit_ns <- !last_ns - t0;
+      prog
     end
   in
-  (* One idle episode after a failed sweep: the stall is attributed to
-     the blocking channel up front (spin or park alike — the spin fast
-     path used to skip attribution entirely), then the worker spins on
-     the notifier version and finally parks. *)
-  let idle ~seen =
-    let blocked_on = if w.w_on then Network.record_stall p else None in
-    if spin && spin_for notif ~seen ~abort ~budget:!spin_budget then begin
-      Telemetry.incr spins;
-      spin_budget := min cfg.sp_max (2 * !spin_budget)
-    end
-    else begin
-      Telemetry.incr parks;
-      spin_budget := max spin_min (!spin_budget / 2);
-      park ~seen ~blocked_on
-    end
+  let count_spins ~spin_ns =
+    for i = 0 to Array.length ms - 1 do
+      let m = ms.(i) in
+      if m.stalled then begin
+        Telemetry.incr m.spins;
+        Telemetry.Profile.add_spin (prof m) (m.visit_ns + spin_ns)
+      end
+    done
+  in
+  let park ~seen =
+    let tp = now_ns () in
+    let t_park = clock () in
+    Array.iter
+      (fun m ->
+        if m.stalled then begin
+          Telemetry.incr m.parks;
+          Telemetry.Profile.add_spin (prof m) (m.visit_ns + tp - !last_ns);
+          if on then end_run m t_park
+        end)
+      ms;
+    par_block net mon ~notif ~cycles ~seen;
+    last_ns := now_ns ();
+    let park_ns = !last_ns - tp in
+    let t_wake = clock () in
+    Array.iter
+      (fun m ->
+        if m.stalled then begin
+          Telemetry.Profile.add_park (prof m) park_ns;
+          if on then begin
+            Telemetry.add m.idle_ns (ns_of_us (t_wake -. t_park));
+            let args =
+              match m.blocked with
+              | None -> []
+              | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
+            in
+            span m ~name:"stall" ~args ~ts:t_park ~dur:(t_wake -. t_park);
+            m.seg_start <- t_wake
+          end
+        end)
+      ms
   in
   (try
-     if pon then
-       (* Profiled loop: every iteration is classified — a productive
-          sweep is "run" (token exchange carved out by the network), a
-          failed sweep plus its busy-wait is "spin", and the off-CPU
-          wait inside [par_block] is "park" — so the per-partition
-          components sum to this domain's wall time. *)
-       while p.Network.pt_cycle < cycles && not (abort ()) do
-         let seen = Channel.Notifier.version notif in
-         let t0 = Telemetry.Profile.now_ns prof in
-         if sweep_p () then
-           Telemetry.Profile.add_run pr (Telemetry.Profile.now_ns prof - t0)
-         else begin
-           let blocked_on = if w.w_on then Network.record_stall p else None in
-           if spin && spin_for notif ~seen ~abort ~budget:!spin_budget then begin
-             Telemetry.Profile.add_spin pr (Telemetry.Profile.now_ns prof - t0);
-             Telemetry.incr spins;
-             spin_budget := min cfg.sp_max (2 * !spin_budget)
-           end
-           else begin
-             let tp = Telemetry.Profile.now_ns prof in
-             Telemetry.Profile.add_spin pr (tp - t0);
-             Telemetry.incr parks;
-             spin_budget := max spin_min (!spin_budget / 2);
-             park ~seen ~blocked_on;
-             Telemetry.Profile.add_park pr (Telemetry.Profile.now_ns prof - tp)
-           end
-         end
-       done
-     else
-       while p.Network.pt_cycle < cycles && not (abort ()) do
-         let seen = Channel.Notifier.version notif in
-         if not (sweep_p ()) then idle ~seen
-       done
+     while Array.exists unfinished ms && not (abort ()) do
+       let seen = Channel.Notifier.version notif in
+       let progress = ref false in
+       for i = 0 to Array.length ms - 1 do
+         if visit ms.(i) then progress := true
+       done;
+       if !progress then count_spins ~spin_ns:0
+       else if inline then begin
+         count_spins ~spin_ns:0;
+         assert (Network.quiescent net ~target:cycles);
+         declare_dead mon
+       end
+       else if spin && spin_for notif ~seen ~abort ~budget:!budget then begin
+         let t = now_ns () in
+         count_spins ~spin_ns:(t - !last_ns);
+         last_ns := t;
+         budget := min spin_max (2 * !budget)
+       end
+       else begin
+         budget := max spin_min (!budget / 2);
+         park ~seen
+       end
+     done
    with e -> par_fail net mon e);
-  if w.w_on || pon then begin
-    let t_done = w.w_clock () in
-    if w.w_on then end_run t_done;
+  if on || pon then begin
+    let t_done = clock () in
+    if on then Array.iter (fun m -> if unfinished m then end_run m t_done) ms;
     finished.(slot) <- t_done
   end;
   par_exit net mon ~cycles
 
-(* One domain multiplexing a fused GROUP of partitions (load-balanced
-   placement): round-robin over the members, idling on their SHARED
-   notifier only when no member could progress in a full round.
-   Telemetry is coarser than the one-domain-per-partition path —
-   spins/parks are charged to every member that failed to progress in
-   the idle round, and no per-partition Chrome spans are recorded (use
-   spread placement for those).  Profiled runs never take this path:
-   the profiler's phase accounting wants one domain per partition. *)
-let par_worker_group net mon ps ~cycles ~started ~finished ~slot ~spin
-    ~batch_cycles ~spin_budget =
-  let abort () = Atomic.get mon.m_abort in
-  let tel = Network.telemetry net in
-  let on = Telemetry.enabled tel in
-  let metric p kind = Printf.sprintf "sched.par.%s.%s" p.Network.pt_name kind in
-  let spins = Array.map (fun p -> Telemetry.counter tel (metric p "spins")) ps in
-  let parks = Array.map (fun p -> Telemetry.counter tel (metric p "parks")) ps in
-  let notif = ps.(0).Network.pt_notif in
-  let cfg = spin_cfg ~spin ~spin_budget in
-  let spin = cfg.sp_enabled in
-  let spin_budget = ref cfg.sp_initial in
-  let batch = Array.map (fun _ -> ref 1) ps in
-  let stalled = Array.make (Array.length ps) false in
-  let unfinished () = Array.exists (fun p -> p.Network.pt_cycle < cycles) ps in
-  if on then started.(slot) <- Telemetry.now_us tel;
-  (try
-     while unfinished () && not (abort ()) do
-       let seen = Channel.Notifier.version notif in
-       let progress = ref false in
-       Array.iteri
-         (fun i p ->
-           if p.Network.pt_cycle < cycles then begin
-             let advanced, prog =
-               Network.sweep_batch net p ~limit:cycles ~max_cycles:!(batch.(i))
-                 ~block:true ~abort
-             in
-             adapt_batch batch.(i) ~cap:batch_cycles ~advanced;
-             if prog then progress := true;
-             stalled.(i) <- not prog
-           end
-           else stalled.(i) <- false)
-         ps;
-       if (not !progress) && unfinished () && not (abort ()) then begin
-         let charge cs =
-           if on then
-             Array.iteri
-               (fun i p ->
-                 if stalled.(i) && p.Network.pt_cycle < cycles then begin
-                   ignore (Network.record_stall p);
-                   Telemetry.incr cs.(i)
-                 end)
-               ps
-         in
-         if spin && spin_for notif ~seen ~abort ~budget:!spin_budget then begin
-           charge spins;
-           spin_budget := min cfg.sp_max (2 * !spin_budget)
-         end
-         else begin
-           charge parks;
-           spin_budget := max spin_min (!spin_budget / 2);
-           par_block net mon ~notif ~cycles ~seen
-         end
-       end
-     done
-   with e -> par_fail net mon e);
-  if on then finished.(slot) <- Telemetry.now_us tel;
-  par_exit net mon ~cycles
-
-(* Cooperative fallback for hosts without real parallelism.  With one
-   hardware thread, one-domain-per-partition only layers context
-   switches, futex round trips and cache churn on top of the sequential
-   sweep (measured 2-5x slower); the parallel policy therefore
-   multiplexes every partition on the calling domain, exactly like
-   {!run_seq} — same firing rules, same no-progress => quiescent =>
-   deadlock judgment — while still registering the per-partition
-   [sched.par.*] counters so telemetry consumers see a stable schema.
-   Parks stay zero — an off-CPU idle policy never arises — but each
-   visit that finds a partition unable to progress counts as one spin:
-   the cooperative analogue of a failed poll (they used to stay zero
-   too, which is what left the bench stall breakdown all-zero whenever
-   this fallback was active). *)
-let run_par_cooperative ?(batch_cycles = default_batch_cycles) net ~cycles =
-  let parts = Network.partitions net in
-  let batch = Array.map (fun _ -> ref 1) parts in
-  let tel = Network.telemetry net in
-  let on = Telemetry.enabled tel in
-  let spins =
-    Array.map
-      (fun p ->
-        Telemetry.counter tel
-          (Printf.sprintf "sched.par.%s.spins" p.Network.pt_name))
-      parts
-  in
-  let ws =
-    Array.map
-      (fun p ->
-        let metric kind =
-          Printf.sprintf "sched.par.%s.%s" p.Network.pt_name kind
-        in
-        ignore (Telemetry.counter tel (metric "parks"));
-        par_tel net p)
-      parts
-  in
-  (* Per-partition run/stall segments, mirroring the per-domain spans of
-     {!par_worker}: a partition is "running" between visits that make
-     progress and "stalled" across consecutive visits that make none.
-     Segments include time spent sweeping the other partitions — on one
-     hardware thread wall time is shared, so per-partition attribution
-     is inherently approximate. *)
-  let seg_start = Array.map (fun w -> w.w_clock ()) ws in
-  let stalled = Array.make (Array.length parts) false in
-  let blocked = Array.make (Array.length parts) None in
-  let close i ~now =
-    let w = ws.(i) in
-    let dur = now -. seg_start.(i) in
-    if stalled.(i) then begin
-      Telemetry.add w.w_idle_ns (ns_of_us dur);
-      let args =
-        match blocked.(i) with
-        | None -> []
-        | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
-      in
-      par_span w ~name:"stall" ~args ~ts:seg_start.(i) ~dur
-    end
-    else begin
-      Telemetry.add w.w_run_ns (ns_of_us dur);
-      par_span w ~name:"run" ~args:[] ~ts:seg_start.(i) ~dur
-    end;
-    seg_start.(i) <- now
-  in
-  let visit i p =
-    let advanced, progressed =
-      Network.sweep_batch net p ~limit:cycles ~max_cycles:!(batch.(i))
-        ~block:false ~abort:never_abort
-    in
-    adapt_batch batch.(i) ~cap:batch_cycles ~advanced;
-    if on && not progressed then Telemetry.incr spins.(i);
-    if on && progressed = stalled.(i) then begin
-      (* Segment boundary: the partition switched between running and
-         being unable to progress. *)
-      close i ~now:(ws.(i).w_clock ());
-      if not progressed then blocked.(i) <- Network.record_stall p;
-      stalled.(i) <- not progressed
-    end;
-    progressed
-  in
-  let behind () = Array.exists (fun p -> p.Network.pt_cycle < cycles) parts in
-  while behind () do
-    let progress = ref false in
-    Array.iteri
-      (fun i p ->
-        if p.Network.pt_cycle < cycles then
-          if visit i p then progress := true)
-      parts;
-    if (not !progress) && behind () then begin
-      assert (Network.quiescent net ~target:cycles);
-      Network.raise_deadlock net
-    end
-  done;
-  if on then Array.iteri (fun i w -> close i ~now:(w.w_clock ())) ws
-
-(* Runs every unfinished partition to [cycles] on its own domain — or
-   one domain per placement GROUP when {!Network.set_groups} fused
-   partitions together, or cooperatively on the calling domain when the
-   host cannot actually run domains concurrently. *)
-let run_par ?(batch_cycles = default_batch_cycles) ?spin_budget net ~cycles =
-  (* A live profile forces the real-domain path: the cooperative
-     multiplexer shares one thread's wall clock between partitions, so
-     its per-partition timing is structurally unable to show where the
-     parallel policy's time would go — which is the question a profiled
-     run asks. *)
+(* Runs every unfinished partition to [cycles] under one worker per
+   domain: one per partition by default and under a live profile (the
+   profiler's per-partition phase accounting assumes a dedicated
+   domain), one per placement group after {!Network.set_groups}, or a
+   single inline worker on the calling domain when the host cannot run
+   domains concurrently. *)
+let run_par net ~cycles =
   let profiled = Network.profile_enabled net in
-  if host_domains_now () <= 1 && not profiled then
-    run_par_cooperative net ~cycles ~batch_cycles
-  else
-  let parts = Network.partitions net in
+  let inline = host_domains_now () <= 1 && not profiled in
   let unfinished =
-    Array.to_list parts |> List.filter (fun p -> p.Network.pt_cycle < cycles)
+    Array.to_list (Network.partitions net)
+    |> List.filter (fun p -> p.Network.pt_cycle < cycles)
   in
-  (* One worker per placement group (identity — one per partition — when
-     no placement was applied, and always under a live profile: the
-     profiler's per-partition phase accounting assumes a dedicated
-     domain). *)
   let assign = Network.groups net in
   let groups =
-    if profiled || Array.length assign = 0 then
-      List.map (fun p -> [| p |]) unfinished
-    else begin
-      let slots = 1 + Array.fold_left max 0 assign in
-      let buckets = Array.make slots [] in
-      List.iter
-        (fun p ->
-          let g = assign.(p.Network.pt_index) in
-          buckets.(g) <- p :: buckets.(g))
-        unfinished;
-      Array.to_list buckets
-      |> List.filter_map (function
-           | [] -> None
-           | ps -> Some (Array.of_list (List.rev ps)))
-    end
+    if inline then [ unfinished ]
+    else if profiled || Array.length assign = 0 then
+      List.map (fun p -> [ p ]) unfinished
+    else
+      List.init
+        (1 + Array.fold_left max 0 assign)
+        (fun g -> List.filter (fun p -> assign.(p.Network.pt_index) = g) unfinished)
   in
-  match groups with
+  match List.filter_map (function [] -> None | ps -> Some (Array.of_list ps)) groups with
   | [] -> ()
   | groups ->
     let nw = List.length groups in
@@ -665,21 +509,15 @@ let run_par ?(batch_cycles = default_batch_cycles) ?spin_budget net ~cycles =
        the spin phase is observable (the bounded budget keeps the
        distortion small). *)
     let spin = profiled || host_domains_now () >= nw in
-    let domains =
-      List.mapi
-        (fun slot ps ->
-          Domain.spawn (fun () ->
-              if Array.length ps = 1 then
-                par_worker net mon ps.(0) ~cycles ~started ~finished ~slot ~spin
-                  ~batch_cycles ~spin_budget
-              else
-                par_worker_group net mon ps ~cycles ~started ~finished ~slot
-                  ~spin ~batch_cycles ~spin_budget))
-        groups
+    let work slot ps =
+      par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline
     in
-    List.iter Domain.join domains;
-    (* Barrier-wait attribution: time each domain idled between its own
-       finish and the last domain's — computed here, after the joins, so
+    if inline then List.iteri work groups
+    else
+      List.mapi (fun slot ps -> Domain.spawn (fun () -> work slot ps)) groups
+      |> List.iter Domain.join;
+    (* Barrier-wait attribution: time each worker idled between its own
+       finish and the last worker's — computed here, after the joins, so
        no cross-domain synchronization is needed while running. *)
     let tel = Network.telemetry net in
     if (Telemetry.enabled tel || profiled) && mon.m_error = None && not mon.m_dead
@@ -691,15 +529,12 @@ let run_par ?(batch_cycles = default_batch_cycles) ?spin_budget net ~cycles =
           Array.iter
             (fun p ->
               let gap = ns_of_us (last -. finished.(slot)) in
-              if Telemetry.enabled tel then begin
-                let c =
-                  Telemetry.counter tel
-                    (Printf.sprintf "sched.par.%s.barrier_ns" p.Network.pt_name)
-                in
-                Telemetry.add c gap
-              end;
+              Telemetry.add
+                (Telemetry.counter tel
+                   (Printf.sprintf "sched.par.%s.barrier_ns" p.Network.pt_name))
+                gap;
               Telemetry.Profile.add_barrier p.Network.pt_prof gap;
-              (* A late domain start is also synchronization overhead:
+              (* A late worker start is also synchronization overhead:
                  the partition existed but had no CPU yet.  Charged as
                  barrier, so every worker's phases tile [first, last] —
                  the span accumulated as the export's wall-clock
@@ -721,18 +556,13 @@ let run_par ?(batch_cycles = default_batch_cycles) ?spin_budget net ~cycles =
 (* ------------------------------------------------------------------ *)
 
 (** Runs every partition up to [cycles] target cycles under the chosen
-    scheduler.  [batch_cycles] caps cycle-batched token exchange (1 =
-    per-cycle, the default; the parallel policy adapts the actual batch
-    depth per partition within the cap); [spin_budget] tunes the
-    spin-then-park idle policy (0 disables spinning).  Raises
-    {!Network.Deadlock} with a channel-state report if no forward
-    progress is possible (Fig. 2a). *)
-let run ?(scheduler = default) ?(batch_cycles = default_batch_cycles)
-    ?spin_budget net ~cycles =
+    scheduler.  Raises {!Network.Deadlock} with a channel-state report
+    if no forward progress is possible (Fig. 2a). *)
+let run ?(scheduler = default) net ~cycles =
   Network.prime net;
   match scheduler with
-  | Sequential -> run_seq net ~cycles ~batch_cycles
-  | Parallel -> run_par net ~cycles ~batch_cycles ?spin_budget
+  | Sequential -> run_seq net ~cycles
+  | Parallel -> run_par net ~cycles
 
 (** Runs until [pred] holds or all partitions reach [max_cycles];
     returns the reached cycle of partition 0.  The sequential scheduler
@@ -741,37 +571,22 @@ let run ?(scheduler = default) ?(batch_cycles = default_batch_cycles)
     whole-cycle barriers, where every partition holds the same cycle —
     [pred] must not race with partition domains, so it only runs while
     they are joined. *)
-let run_until ?(scheduler = default) ?(batch_cycles = default_batch_cycles)
-    ?spin_budget net ~max_cycles pred =
+let run_until ?(scheduler = default) net ~max_cycles pred =
   Network.prime net;
+  let parts = Network.partitions net in
   match scheduler with
   | Sequential ->
-    let parts = Network.partitions net in
     let stop = ref false in
     let deadline_reached () =
       Array.for_all (fun p -> p.Network.pt_cycle >= max_cycles) parts
     in
     while (not !stop) && not (deadline_reached ()) do
-      let progress = ref false in
-      Array.iter
-        (fun p ->
-          if p.Network.pt_cycle < max_cycles then begin
-            let _, prog =
-              Network.sweep_batch net p ~limit:max_cycles
-                ~max_cycles:batch_cycles ~block:false ~abort:never_abort
-            in
-            if prog then progress := true
-          end)
-        parts;
+      let progress = seq_round net parts ~target:max_cycles in
       if pred net then stop := true
-      else if not !progress then begin
-        assert (Network.quiescent net ~target:max_cycles);
-        Network.raise_deadlock net
-      end
+      else if not progress then seq_deadlock net ~target:max_cycles
     done;
     parts.(0).Network.pt_cycle
   | Parallel ->
-    let parts = Network.partitions net in
     let min_cycle () =
       Array.fold_left (fun acc p -> min acc p.Network.pt_cycle) max_int parts
     in
@@ -779,7 +594,7 @@ let run_until ?(scheduler = default) ?(batch_cycles = default_batch_cycles)
       let c = min_cycle () in
       if c >= max_cycles then parts.(0).Network.pt_cycle
       else begin
-        run_par net ~cycles:(min max_cycles (c + 1)) ~batch_cycles ?spin_budget;
+        run_par net ~cycles:(min max_cycles (c + 1));
         if pred net then parts.(0).Network.pt_cycle else go ()
       end
     in

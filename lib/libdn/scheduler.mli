@@ -6,10 +6,12 @@
 
     - {!Sequential} — single-threaded round-robin sweep (the reference
       implementation; best for cycle-stepping drivers).
-    - {!Parallel} — one OCaml 5 domain per partition, tokens through
+    - {!Parallel} — partitions spread over OCaml 5 domains (one per
+      partition, or one per fused placement group), tokens through
       bounded thread-safe queues as the only synchronization (the
       software mirror of one-FPGA-per-partition; best for long
-      free-running simulations of multi-partition designs).
+      free-running simulations of multi-partition designs).  On a
+      one-thread host every partition runs inline on the calling domain.
 
     Deadlock (Fig. 2a) is detected in both by the same authoritative
     quiescence check ({!Network.quiescent}). *)
@@ -29,51 +31,22 @@ val accepted_names : string list
 val of_string : string -> (t, string) result
 (** Accepts {!accepted_names}; the error lists them. *)
 
-val default_batch_cycles : int
-(** [1]: per-cycle token exchange unless a cap is passed explicitly. *)
-
 (** Runs every partition up to [cycles] target cycles; raises
-    {!Network.Deadlock} if the network quiesces short of the target.
-
-    [batch_cycles] caps cycle-batched token exchange
-    ({!Network.sweep_batch}): partitions fire/advance up to that many
-    consecutive target cycles per synchronization.  The parallel policy
-    adapts the actual batch depth per partition within the cap —
-    starting at 1, doubling while batches run their full budget,
-    halving when a visit starves — so a cap that is too large for the
-    topology's slack costs nothing.  Bit-exact vs [batch_cycles = 1] by
-    LI-BDN determinism.
-
-    [spin_budget] tunes the spin-then-park idle policy: the initial
-    (and maximum) busy-poll budget before a worker parks; [0] disables
-    spinning entirely. *)
-val run :
-  ?scheduler:t ->
-  ?batch_cycles:int ->
-  ?spin_budget:int ->
-  Network.t ->
-  cycles:int ->
-  unit
+    {!Network.Deadlock} if the network quiesces short of the target. *)
+val run : ?scheduler:t -> Network.t -> cycles:int -> unit
 
 (** Runs until [pred] holds or all partitions reach [max_cycles];
     returns partition 0's cycle.  Sequential checks [pred] after each
-    sweep (note a [batch_cycles] cap > 1 coarsens that sampling to the
-    batch boundary); Parallel checks at whole-cycle barriers (all
-    partition domains joined, so [pred] never races with them). *)
+    sweep; Parallel checks at whole-cycle barriers (all partition
+    domains joined, so [pred] never races with them). *)
 val run_until :
-  ?scheduler:t ->
-  ?batch_cycles:int ->
-  ?spin_budget:int ->
-  Network.t ->
-  max_cycles:int ->
-  (Network.t -> bool) ->
-  int
+  ?scheduler:t -> Network.t -> max_cycles:int -> (Network.t -> bool) -> int
 
 (** Overrides the host-domain count the parallel policy sizes itself to
     ([Domain.recommended_domain_count] by default; [0] restores it).
     Lets benches and tests exercise the real-domain path — and measure
     the profiler against a like-for-like baseline — on hosts whose
-    hardware thread count would force the cooperative fallback. *)
+    hardware thread count would force the inline worker. *)
 val set_host_domains : int -> unit
 
 (** The host-domain count the parallel policy currently sizes itself to

@@ -181,6 +181,31 @@ let test_external_drive () =
   eng.Libdn.Engine.eval_comb ();
   check_int "accumulated drive" 10 (eng.Libdn.Engine.get "out")
 
+let test_stepped_drive_matches_one_shot () =
+  (* A cycle-dependent drive hook sees each target cycle once whether the
+     run is one call or one call per cycle: a run resumed at cycle N
+     drives cycle N, not cycle 0 again. *)
+  let acc ~stepped =
+    let b = Builder.create "extsum" in
+    let x = Builder.input b "x" 8 in
+    let acc = Builder.reg b "acc" 16 in
+    Builder.reg_next b "acc" Dsl.(acc +: x);
+    Builder.output b "out" 16;
+    Builder.connect b "out" acc;
+    let net = Libdn.Network.create () in
+    let w = Goldengate.Fame1.wrap ~flat:(Builder.finish b) ~ins:[] ~outs:[] () in
+    let p = Goldengate.Fame1.add_to_network net ~name:"extsum" w in
+    Libdn.Network.set_drive net p (fun eng cyc -> eng.Libdn.Engine.set_input "x" cyc);
+    if stepped then
+      for c = 1 to 6 do
+        Libdn.Scheduler.run net ~cycles:c
+      done
+    else Libdn.Scheduler.run net ~cycles:6;
+    (Libdn.Network.partition net p).pt_engine.Libdn.Engine.get "acc"
+  in
+  check_int "one-shot: 0+1+...+5" 15 (acc ~stepped:false);
+  check_int "stepped equals one-shot" 15 (acc ~stepped:true)
+
 (* ------------------------------------------------------------------ *)
 (* FAME-5                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -317,7 +342,12 @@ let suite =
         Alcotest.test_case "seeding avoids deadlock" `Quick test_fast_mode_seeding_runs;
         Alcotest.test_case "one-cycle latency semantics" `Quick test_fast_mode_latency_semantics;
       ] );
-    ("libdn.drive", [ Alcotest.test_case "external inputs" `Quick test_external_drive ]);
+    ( "libdn.drive",
+      [
+        Alcotest.test_case "external inputs" `Quick test_external_drive;
+        Alcotest.test_case "stepped runs drive each cycle once" `Quick
+          test_stepped_drive_matches_one_shot;
+      ] );
     ( "goldengate.fame5",
       [
         Alcotest.test_case "matches replicated instances" `Quick test_fame5_matches_replicated;

@@ -39,5 +39,4 @@ let () =
          Profile_tests.suite;
          Service_tests.suite;
          Wavestore_tests.suite;
-         Batch_tests.suite;
        ])
