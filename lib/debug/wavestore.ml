@@ -310,6 +310,8 @@ module Reader = struct
     match tag with
     | 'K' ->
       let c = Codec.read_varint t.rd_data pos in
+      if !cycle <> min_int && c <= !cycle then
+        corrupt "keyframe cycle %d not after cycle %d" c !cycle;
       let changes = ref [] in
       (* read in order, report changed-vs-previous for callers that
          want a change view of the keyframe *)
@@ -323,6 +325,9 @@ module Reader = struct
       !changes
     | 'D' ->
       let dc = Codec.read_varint t.rd_data pos in
+      (* Cycles strictly increase; the second test catches overflow. *)
+      if dc <= 0 || !cycle + dc <= !cycle then
+        corrupt "delta frame advances cycle %d by %d" !cycle dc;
       let n = Codec.read_varint t.rd_data pos in
       if n < 0 || n > nsig then corrupt "insane change count %d" n;
       let changes = List.init n (fun _ ->

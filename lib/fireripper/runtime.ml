@@ -4,7 +4,10 @@
    RTL simulation engine or — when the unit is a pure wrapper around N
    instances of one module and [fame5] is requested — a FAME-5
    multithreaded engine sharing one combinational evaluator across N
-   register banks (the optimization of Section VI-B). *)
+   register banks (the optimization of Section VI-B).  A plain unit's
+   simulator is built from the plan's analysis of that unit
+   ([Rtlsim.Sim.of_analysis]), which an exact-mode compile has already
+   built for its chain check, so no unit is analysed twice. *)
 
 open Firrtl
 
@@ -124,8 +127,8 @@ let instantiate ?(fame5 = false) ?(scheduler = Libdn.Scheduler.default) ?groups
           Goldengate.Fame5.engine f5
         | None ->
           let sim =
-            Rtlsim.Sim.create ?engine ?lanes ~profile ~label:u.Plan.u_name
-              (Lazy.force u.Plan.u_flat)
+            Rtlsim.Sim.of_analysis ?engine ?lanes ~profile ~label:u.Plan.u_name
+              (Lazy.force u.Plan.u_analysis)
           in
           sims.(u.Plan.u_index) <- Some sim;
           Libdn.Engine.of_sim sim
@@ -187,8 +190,8 @@ let instantiate_remote ?(scheduler = Libdn.Scheduler.default) ?groups
         end
         else begin
           let sim =
-            Rtlsim.Sim.create ?engine ?lanes ~profile ~label:u.Plan.u_name
-              (Lazy.force u.Plan.u_flat)
+            Rtlsim.Sim.of_analysis ?engine ?lanes ~profile ~label:u.Plan.u_name
+              (Lazy.force u.Plan.u_analysis)
           in
           sims.(u.Plan.u_index) <- Some sim;
           Libdn.Engine.of_sim sim

@@ -19,6 +19,7 @@ type t = {
   drivers : (string, Ast.expr) Hashtbl.t;
   order : string list;  (** levelized evaluation order (deps first) *)
   comb_deps : (string, string list) Hashtbl.t;
+      (** output port -> input ports it combinationally depends on *)
 }
 
 val kind_of : t -> string -> kind
@@ -28,7 +29,8 @@ val driver_of : t -> string -> Ast.expr option
     non-flat or malformed modules. *)
 val build : Ast.module_def -> t
 
-(** Input ports that [name] combinationally depends on. *)
+(** Input ports that [name] combinationally depends on.  Raises
+    [Ast.Ir_error] on a wire: only ports' sets are kept. *)
 val comb_inputs : t -> string -> string list
 
 (** For each output port: its combinational input dependencies (empty =

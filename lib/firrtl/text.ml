@@ -194,7 +194,10 @@ let lex line =
       while !j < n && line.[!j] >= '0' && line.[!j] <= '9' do
         incr j
       done;
-      toks := Tint (int_of_string (String.sub line !i (!j - !i))) :: !toks;
+      let digits = String.sub line !i (!j - !i) in
+      (match int_of_string_opt digits with
+      | Some v -> toks := Tint v :: !toks
+      | None -> parse_error "integer %s out of range in %S" digits line);
       i := !j
     end
     else if is_ident_char c then begin
@@ -211,7 +214,12 @@ let lex line =
           incr k
         done;
         if !k >= n then parse_error "unterminated UInt<...>";
-        let w = int_of_string (String.trim (String.sub line (!j + 1) (!k - !j - 1))) in
+        let ws = String.trim (String.sub line (!j + 1) (!k - !j - 1)) in
+        let w =
+          match int_of_string_opt ws with
+          | Some w -> w
+          | None -> parse_error "bad UInt width %S in %S" ws line
+        in
         toks := Tuint w :: !toks;
         i := !k + 1
       end

@@ -434,6 +434,7 @@ let compile ~flat ~analysis ~slots ~widths ~mems ~mem_widths ?(live = fun _ -> t
   in
   (* Combinational segments, levelized. *)
   let segs = ref [] in
+  let n_segs = ref 0 in
   let seg_by_name = Hashtbl.create 256 in
   List.iter
     (fun name ->
@@ -448,19 +449,16 @@ let compile ~flat ~analysis ~slots ~widths ~mems ~mem_widths ?(live = fun _ -> t
         let cse = Hashtbl.create 16 in
         let sg_start = buf.b_len in
         ignore (emit_node cse src ~dst ~dmask:(Ast.mask widths.(dst)));
-        Hashtbl.replace seg_by_name name (List.length !segs);
+        Hashtbl.replace seg_by_name name !n_segs;
+        incr n_segs;
         segs := { sg_name = name; sg_dst = dst; sg_start; sg_stop = buf.b_len } :: !segs
       end)
     analysis.Analysis.order;
   let bc_code = buf_contents buf in
   let bc_segs = Array.of_list (List.rev !segs) in
-  (* [segs] was accumulated in reverse, so indices recorded in
-     [seg_by_name] count from the front already. *)
   (* Sequential staging program: register next/enable and memory-write
      operands, all computed from pre-commit state (two-phase). *)
   let seq_buf = buf_create () in
-  let seq_swap = buf in
-  ignore seq_swap;
   buf.b_code <- seq_buf.b_code;
   buf.b_len <- 0;
   reset_temps ();

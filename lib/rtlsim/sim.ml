@@ -93,14 +93,18 @@ let slot t name =
   | Some i -> i
   | None -> sim_error "no such signal: %s" name
 
-let create ?(engine = default_engine) ?(telemetry = Telemetry.null)
-    ?(profile = Telemetry.Profile.null) ?label ?dce_roots ?(lanes = 1) flat =
+(* Builds the simulator of [base_analysis.flat] from that analysis of
+   the module as given, so a caller that already holds it (FireRipper's
+   plan units) does not analyse the module twice.  The analysis comes
+   first, before [Opt]: comb-cycle and missing-driver diagnostics must
+   not depend on the engine (or on what the optimizer would have
+   deleted). *)
+let of_analysis ?(engine = default_engine) ?(telemetry = Telemetry.null)
+    ?(profile = Telemetry.Profile.null) ?label ?dce_roots ?(lanes = 1)
+    (base_analysis : Analysis.t) =
+  let flat = base_analysis.Analysis.flat in
   if lanes < 1 then sim_error "create: need at least one lane, got %d" lanes;
   let plabel = match label with Some l -> l | None -> flat.Ast.name in
-  (* Build the analysis of the module as given first: comb-cycle and
-     missing-driver diagnostics must not depend on the engine (or on
-     what the optimizer would have deleted). *)
-  let base_analysis = Analysis.build flat in
   let slots = Hashtbl.create 256 in
   let widths_l = ref [] in
   let n_slots = ref 0 in
@@ -276,6 +280,9 @@ let create ?(engine = default_engine) ?(telemetry = Telemetry.null)
           ~seq_hist:(Closure.seq_class_hist cl);
       cycle = 0;
     }
+
+let create ?engine ?telemetry ?profile ?label ?dce_roots ?lanes flat =
+  of_analysis ?engine ?telemetry ?profile ?label ?dce_roots ?lanes (Analysis.build flat)
 
 let of_circuit ?engine ?telemetry ?profile ?label ?dce_roots ?lanes circuit =
   create ?engine ?telemetry ?profile ?label ?dce_roots ?lanes (Flatten.flatten circuit)

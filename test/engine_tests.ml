@@ -286,6 +286,105 @@ let prop_random_partitioned_engines =
       FR.Runtime.save_to_string hc = FR.Runtime.save_to_string hb)
 
 (* ------------------------------------------------------------------ *)
+(* Runtime builds each unit's simulator from the plan's analysis       *)
+(* ------------------------------------------------------------------ *)
+
+let bigcore_tiny_plan () =
+  let config =
+    {
+      FR.Spec.default_config with
+      FR.Spec.selection = FR.Spec.Instances [ [ "backend" ] ];
+    }
+  in
+  FR.Compile.compile ~config (Socgen.Bigcore.circuit ~p:Socgen.Bigcore.tiny ())
+
+(* Every unit simulator [Runtime.instantiate] builds from the plan's
+   analysis is the one [Sim.create] builds from the unit's flat module:
+   the same bytecode program, and under the closure engine the same
+   state after 50 steps. *)
+let test_instantiate_matches_create () =
+  List.iter
+    (fun (what, plan) ->
+      let hb = FR.Runtime.instantiate plan in
+      let hc = FR.Runtime.instantiate ~engine:Rtlsim.Sim.Closure plan in
+      Array.iter
+        (fun (u : FR.Plan.unit_part) ->
+          let k = u.FR.Plan.u_index in
+          let what = Printf.sprintf "%s unit %s" what u.FR.Plan.u_name in
+          let flat = Lazy.force u.FR.Plan.u_flat in
+          let sb = FR.Runtime.sim_of hb k in
+          let rb = Rtlsim.Sim.create flat in
+          check_bool (what ^ ": bytecode program") true
+            (Rtlsim.Sim.bytecode_program_hash sb <> None);
+          Alcotest.(check (option int))
+            (what ^ ": program hash")
+            (Rtlsim.Sim.bytecode_program_hash rb)
+            (Rtlsim.Sim.bytecode_program_hash sb);
+          check_bool (what ^ ": program stats") true
+            (Rtlsim.Sim.bytecode_stats sb = Rtlsim.Sim.bytecode_stats rb);
+          let sc = FR.Runtime.sim_of hc k in
+          let rc = Rtlsim.Sim.create ~engine:Rtlsim.Sim.Closure flat in
+          for _ = 1 to 50 do
+            Rtlsim.Sim.step sc;
+            Rtlsim.Sim.step rc
+          done;
+          check_bool (what ^ ": closure snapshot after 50 steps") true
+            (Rtlsim.Sim.snapshot sc = Rtlsim.Sim.snapshot rc))
+        plan.FR.Plan.p_units)
+    (List.map (fun file -> (file, plan_of (load file))) (example_designs ())
+    @ [ ("bigcore tiny", bigcore_tiny_plan ()) ])
+
+(* A fast-mode compile runs no chain analysis, so a combinational loop
+   inside a unit first shows when the runtime builds that unit: it must
+   raise the analysis's own [Comb_cycle], naming the path that
+   analysing the unit's flat module names. *)
+let test_fast_mode_comb_loop () =
+  let circuit =
+    Text.parse
+      {|
+circuit loop main top:
+  module leaf:
+    input i : UInt<1>
+    output o : UInt<1>
+    wire a : UInt<1>
+    wire b : UInt<1>
+    connect a = xor(b, i)
+    connect b = a
+    connect o = a
+  module top:
+    input i : UInt<1>
+    output o : UInt<1>
+    inst c of leaf
+    connect c.i = i
+    connect o = c.o
+|}
+  in
+  let config =
+    {
+      FR.Spec.default_config with
+      FR.Spec.mode = FR.Spec.Fast;
+      FR.Spec.selection = FR.Spec.Instances [ [ "c" ] ];
+    }
+  in
+  let plan = FR.Compile.compile ~config circuit in
+  Array.iter
+    (fun (u : FR.Plan.unit_part) ->
+      check_bool (u.FR.Plan.u_name ^ ": compile left the analysis unforced") false
+        (Lazy.is_val u.FR.Plan.u_analysis))
+    plan.FR.Plan.p_units;
+  let expected =
+    match Analysis.build (Lazy.force plan.FR.Plan.p_units.(1).FR.Plan.u_flat) with
+    | _ -> Alcotest.fail "the extracted unit has no combinational loop"
+    | exception Analysis.Comb_cycle path -> path
+  in
+  check_bool "the path names the loop" true
+    (List.mem "c$a" expected && List.mem "c$b" expected);
+  match FR.Runtime.instantiate plan with
+  | _ -> Alcotest.fail "instantiate accepted a combinational loop"
+  | exception Analysis.Comb_cycle path ->
+    Alcotest.(check (list string)) "Comb_cycle path" expected path
+
+(* ------------------------------------------------------------------ *)
 (* Probe traces: byte-identical across engines                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -496,6 +595,10 @@ let suite =
         Alcotest.test_case "wave_diff clean under bytecode" `Quick
           test_wave_diff_under_bytecode;
         QCheck_alcotest.to_alcotest prop_random_partitioned_engines;
+        Alcotest.test_case "instantiate builds what Sim.create builds" `Quick
+          test_instantiate_matches_create;
+        Alcotest.test_case "fast-mode comb loop raises at instantiate" `Quick
+          test_fast_mode_comb_loop;
       ] );
     ( "firrtl.opt",
       [

@@ -198,6 +198,25 @@ let test_source_sink_classification () =
   check_bool "sum is a source port" true (List.assoc "sum" deps = []);
   check_bool "echo is a sink port" true (List.assoc "echo" deps = [ "a" ])
 
+(* Dependency sets are kept for output ports only: a wire's set is an
+   intermediate step of the propagation, and asking for it is an error. *)
+let test_port_deps_only () =
+  let b = Builder.create "m" in
+  let a = Builder.input b "a" 4 in
+  let w = Builder.wire b "w" 4 in
+  Builder.connect b "w" Dsl.(a +: lit ~width:4 1);
+  Builder.output b "o" 4;
+  Builder.connect b "o" w;
+  let t = Analysis.build (Builder.finish b) in
+  check_bool "output keeps its set" true (Analysis.comb_inputs t "o" = [ "a" ]);
+  check_bool "only output ports are kept" true
+    (Hashtbl.fold (fun name _ acc -> acc && name = "o") t.Analysis.comb_deps true);
+  check_bool "a wire's set is not kept" true
+    (try
+       ignore (Analysis.comb_inputs t "w");
+       false
+     with Ast.Ir_error _ -> true)
+
 let test_comb_cycle_detected () =
   let b = Builder.create "loop" in
   let x = Builder.wire b "x" 4 in
@@ -460,6 +479,7 @@ let suite =
     ( "firrtl.analysis",
       [
         Alcotest.test_case "source/sink ports" `Quick test_source_sink_classification;
+        Alcotest.test_case "dependency sets kept for ports only" `Quick test_port_deps_only;
         Alcotest.test_case "comb cycle" `Quick test_comb_cycle_detected;
         Alcotest.test_case "cone" `Quick test_cone;
       ] );

@@ -57,6 +57,10 @@ let test_parse_errors () =
       ("unknown op", "circuit c main m:\n  module m:\n    output o : UInt<1>\n    connect o = frob(x)\n");
       ("unterminated uint", "circuit c main m:\n  module m:\n    input a : UInt<8\n");
       ("stray decl", "circuit c main m:\n  wire w : UInt<1>\n");
+      ( "integer beyond max_int",
+        "circuit c main m:\n  module m:\n    output o : UInt<8>\n\
+        \    connect o = UInt<8>(99999999999999999999999)\n" );
+      ("non-numeric width", "circuit c main m:\n  module m:\n    input a : UInt<x>\n");
     ]
   in
   List.iter
@@ -125,6 +129,23 @@ let prop_expr_roundtrip =
       let c = { Text.toks = Text.lex text; line = text } in
       Text.parse_expr c = e)
 
+(* Byte mutations of a valid Kite SoC text: whatever the damage, [parse]
+   returns a circuit or raises one of its two named errors. *)
+let prop_parse_mutations =
+  let text = Text.emit (Socgen.Soc.single_core_soc ()) in
+  let n = String.length text in
+  let gen =
+    QCheck.(
+      list_of_size (Gen.int_range 1 4) (pair (int_bound (n - 1)) (int_bound 255)))
+  in
+  QCheck.Test.make ~name:"byte-mutated text parses or raises a named error" ~count:1000
+    gen (fun muts ->
+      let b = Bytes.of_string text in
+      List.iter (fun (i, c) -> Bytes.set b i (Char.chr c)) muts;
+      match Text.parse (Bytes.to_string b) with
+      | _ -> true
+      | exception (Text.Parse_error _ | Ast.Ir_error _) -> true)
+
 let test_checked_in_sample () =
   (* A hand-authored .fir file ships with the repo: it must load, pass
      the structural checks, simulate, and partition. *)
@@ -173,5 +194,9 @@ let suite =
         Alcotest.test_case "annotations" `Quick test_annotations_roundtrip;
         Alcotest.test_case "file io" `Quick test_file_io;
       ] );
-    ("text.properties", [ QCheck_alcotest.to_alcotest prop_expr_roundtrip ]);
+    ( "text.properties",
+      [
+        QCheck_alcotest.to_alcotest prop_expr_roundtrip;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1 |]) prop_parse_mutations;
+      ] );
   ]

@@ -327,6 +327,39 @@ let test_save_load_and_corruption () =
   check_int "writer stays usable after contents" (List.length trace)
     (W.Writer.sample_count w)
 
+(* Byte mutations of a valid 200-sample store: [of_string] and every
+   query on what it accepts return or raise [Corrupt], never anything
+   else (a mutated cycle must not reach [Vcd.Writer.time]). *)
+let prop_mutated_store_queries =
+  let data =
+    let w = W.Writer.create ~keyframe_every:16 ~signals:[ ("a", 8); ("b", 16); ("c", 1) ] () in
+    let rng = Random.State.make [| 7 |] in
+    let cycle = ref 0 in
+    for _ = 1 to 200 do
+      cycle := !cycle + 1 + Random.State.int rng 3;
+      W.Writer.sample w ~cycle:!cycle
+        [| Random.State.int rng 256; Random.State.int rng 65536; Random.State.int rng 2 |]
+    done;
+    W.Writer.contents w
+  in
+  let n = String.length data in
+  let gen =
+    QCheck.(
+      list_of_size (Gen.int_range 1 3) (pair (int_bound (n - 1)) (int_bound 255)))
+  in
+  QCheck.Test.make ~name:"mutated store decodes or raises Corrupt" ~count:1000 gen
+    (fun muts ->
+      let b = Bytes.of_string data in
+      List.iter (fun (i, c) -> Bytes.set b i (Char.chr c)) muts;
+      match
+        let r = W.Reader.of_string (Bytes.to_string b) in
+        ignore (W.Reader.to_vcd r);
+        ignore (W.Reader.values_at r ~cycle:200);
+        ignore (W.Reader.slice r ~lo:100 ~hi:300)
+      with
+      | () -> true
+      | exception W.Corrupt _ -> true)
+
 let suite =
   [
     ( "wavestore",
@@ -344,5 +377,7 @@ let suite =
           test_diff_stores;
         Alcotest.test_case "save/load round trip and corruption" `Quick
           test_save_load_and_corruption;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1 |])
+          prop_mutated_store_queries;
       ] );
   ]
