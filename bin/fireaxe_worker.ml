@@ -87,8 +87,8 @@ let () =
            an individual copy when the engine runs several lanes. *)
         reply "%d" (Rtlsim.Sim.get ~lane:(int_of_string lane) sim name)
       | [ "lanes" ] -> reply "%d" (Rtlsim.Sim.lanes sim)
-      | [ "eval" ] -> eng.Libdn.Engine.eval_comb ()
-      | [ "step" ] -> eng.Libdn.Engine.step_seq ()
+      | [ "eval" ] -> Rtlsim.Sim.eval_comb sim
+      | [ "step" ] -> Rtlsim.Sim.step_seq sim
       | "cone" :: roots ->
         reply "%d" (fresh cones next_cone (eng.Libdn.Engine.make_cone_eval roots))
       | [ "runcone"; id ] -> (Hashtbl.find cones (int_of_string id)) ()

@@ -257,6 +257,7 @@ let engine t : Libdn.Engine.t =
     get_ports = List.map get;
     eval_comb = (fun () -> ());
     step_seq;
+    pass_record = None;
     make_cone_eval;
     output_comb_deps;
     checkpoint;

@@ -14,6 +14,7 @@ type t = {
           gather), a plain map for local ones. *)
   eval_comb : unit -> unit;
   step_seq : unit -> unit;
+  pass_record : Telemetry.Profile.engine option;
   make_cone_eval : string list -> unit -> unit;
       (** Compiled partial evaluation of the combinational cone feeding
           the given signals; see {!Rtlsim.Sim.make_cone_eval}. *)
@@ -33,8 +34,9 @@ let of_sim sim =
     set_input = Rtlsim.Sim.set_input_all sim;
     get = Rtlsim.Sim.get sim;
     get_ports = List.map (Rtlsim.Sim.get sim);
-    eval_comb = (fun () -> Rtlsim.Sim.eval_comb sim);
-    step_seq = (fun () -> Rtlsim.Sim.step_seq sim);
+    eval_comb = (fun () -> Rtlsim.Sim.raw_eval_comb sim);
+    step_seq = (fun () -> Rtlsim.Sim.raw_step_seq sim);
+    pass_record = Some sim.Rtlsim.Sim.eprof;
     make_cone_eval = Rtlsim.Sim.make_cone_eval sim;
     output_comb_deps = (fun port -> Firrtl.Analysis.comb_inputs analysis port);
     checkpoint = (fun () -> Rtlsim.Sim.checkpoint sim);

@@ -23,14 +23,14 @@
 type in_chan = {
   ic_spec : Channel.spec;
   ic_queue : Channel.token Channel.Bqueue.t;
-  ic_enq : Telemetry.counter;  (** tokens pushed into this queue *)
-  ic_deq : Telemetry.counter;  (** tokens consumed by advances *)
+  ic_rec : Telemetry.Profile.chan;
+      (** the one record of the tokens pushed into and consumed from
+          this queue: the profile's channel row and the metrics'
+          [net.<p>.in.<c>.enq]/[deq] *)
   ic_peak : Telemetry.gauge;  (** peak queue occupancy observed *)
   ic_stalled : Telemetry.counter;
       (** times this input was the blocking one when its partition
           stalled (see {!record_stall}) *)
-  ic_prof : Telemetry.Profile.chan;
-      (** per-channel exchange cost (enq+deq ns, batch sizes) *)
 }
 
 type out_chan = {
@@ -39,8 +39,8 @@ type out_chan = {
   oc_eval : unit -> unit;  (** evaluates the cone feeding this channel *)
   mutable oc_fired : bool;
   mutable oc_dests : (int * int) list;  (** (partition, input channel) *)
-  oc_attempts : Telemetry.counter;  (** firing-rule attempts *)
-  oc_fires : Telemetry.counter;  (** successful fires *)
+  mutable oc_attempts : int;  (** firing-rule attempts *)
+  mutable oc_fires : int;  (** successful fires *)
 }
 
 type partition = {
@@ -57,7 +57,9 @@ type partition = {
       (** Hook that sets the partition's external (non-channel) inputs
           for the given target cycle. *)
   pt_prof : Telemetry.Profile.part;
-      (** the scheduler's run/exchange/spin/park/barrier timeline *)
+      (** the one record of the partition's run/exchange/spin/park/
+          barrier timeline: the profile's partition row and the metrics'
+          [sched.par.<p>.*] *)
 }
 
 type t = {
@@ -67,12 +69,13 @@ type t = {
   token_transfers : int Atomic.t;  (** total tokens moved, for statistics *)
   tel : Telemetry.t;
   tel_on : bool;
-      (** cached [Telemetry.enabled tel]: gates instrumentation that must
-          do extra work to compute a sample (queue lengths) *)
+      (** cached [Telemetry.enabled tel]: gates the metrics-only samples
+          (queue lengths) *)
   prof : Telemetry.Profile.t;
-  prof_on : bool;
-      (** cached [Telemetry.Profile.enabled prof]: gates the clock reads
-          around token pushes/drops *)
+  recording : bool;
+      (** either sink is live, fixed at creation: {!sweep} records
+          (counts, and laps of the domain's {!Telemetry.Clock} chain)
+          only then, and otherwise makes no call into the sinks *)
   mutable on_deadlock : (Telemetry.Snapshot.t -> unit) list;
       (** observers invoked (newest last) before {!raise_deadlock}
           raises — how a flight recorder dumps post-mortem state without
@@ -97,14 +100,15 @@ let create ?(queue_capacity = default_queue_capacity) ?(telemetry = Telemetry.nu
     tel = telemetry;
     tel_on = Telemetry.enabled telemetry;
     prof = profile;
-    prof_on = Telemetry.Profile.enabled profile;
+    recording = Telemetry.enabled telemetry || Telemetry.Profile.enabled profile;
     on_deadlock = [];
     groups = [||];
   }
 
 let telemetry t = t.tel
 let profile t = t.prof
-let profile_enabled t = t.prof_on
+let profile_enabled t = Telemetry.Profile.enabled t.prof
+let recording t = t.recording
 
 (** Registers an observer of {!raise_deadlock}: it receives the
     structured snapshot before the {!Deadlock} exception propagates.
@@ -128,14 +132,17 @@ let add_partition t ~name ~engine ~(ins : Channel.spec list)
       (List.map
          (fun (spec : Channel.spec) ->
            let chan = spec.Channel.name in
+           let r = Telemetry.Profile.channel t.prof ~part:name ~name:chan in
+           Telemetry.counter_of t.tel (in_metric chan "enq") (fun () ->
+               Telemetry.Profile.enq_tokens r);
+           Telemetry.counter_of t.tel (in_metric chan "deq") (fun () ->
+               Telemetry.Profile.deq_tokens r);
            {
              ic_spec = spec;
              ic_queue = Channel.Bqueue.create ~capacity:t.queue_capacity ~notif;
-             ic_enq = Telemetry.counter t.tel (in_metric chan "enq");
-             ic_deq = Telemetry.counter t.tel (in_metric chan "deq");
+             ic_rec = r;
              ic_peak = Telemetry.gauge t.tel (in_metric chan "peak");
              ic_stalled = Telemetry.counter t.tel (in_metric chan "stalled");
-             ic_prof = Telemetry.Profile.channel t.prof ~part:name ~name:chan;
            })
          ins)
   in
@@ -152,15 +159,22 @@ let add_partition t ~name ~engine ~(ins : Channel.spec list)
     Array.of_list
       (List.map
          (fun ((spec : Channel.spec), deps) ->
-           {
-             oc_spec = spec;
-             oc_deps = List.map index_of_in deps;
-             oc_eval = engine.Engine.make_cone_eval (List.map fst spec.Channel.ports);
-             oc_fired = false;
-             oc_dests = [];
-             oc_attempts = Telemetry.counter t.tel (out_metric spec.Channel.name "attempts");
-             oc_fires = Telemetry.counter t.tel (out_metric spec.Channel.name "fires");
-           })
+           let oc =
+             {
+               oc_spec = spec;
+               oc_deps = List.map index_of_in deps;
+               oc_eval = engine.Engine.make_cone_eval (List.map fst spec.Channel.ports);
+               oc_fired = false;
+               oc_dests = [];
+               oc_attempts = 0;
+               oc_fires = 0;
+             }
+           in
+           Telemetry.counter_of t.tel (out_metric spec.Channel.name "attempts") (fun () ->
+               oc.oc_attempts);
+           Telemetry.counter_of t.tel (out_metric spec.Channel.name "fires") (fun () ->
+               oc.oc_fires);
+           oc)
          outs)
   in
   let part =
@@ -273,10 +287,13 @@ let groups t = t.groups
 (** Applies every partition's drive hook for the partition's current
     target cycle (0 on a fresh network).  Schedulers call this once at
     the start of each run, so a run resumed at cycle N drives cycle N,
-    not cycle 0 again. *)
+    not cycle 0 again.  While {!recording} it also starts the calling
+    domain's lap chain, so the run's first lap does not reach back into
+    host time before it. *)
 let prime t =
   freeze t;
-  Array.iter (fun p -> p.pt_drive p.pt_engine p.pt_cycle) t.frozen
+  Array.iter (fun p -> p.pt_drive p.pt_engine p.pt_cycle) t.frozen;
+  if t.recording then ignore (Telemetry.Clock.mark ())
 
 (** Captures the structured network-state snapshot every diagnostic
     derives from: per partition, the target cycle, input-queue depths,
@@ -320,6 +337,38 @@ let introspect t : Telemetry.Snapshot.t =
   in
   { Telemetry.Snapshot.parts }
 
+(* Charges one lap of the sweeping domain's clock chain to [p] as token
+   exchange: sweep time outside the engine passes. *)
+let charge_exchange p ns =
+  Telemetry.Profile.add_exchange p.pt_prof ns;
+  Telemetry.Profile.add_run p.pt_prof ns
+
+(* One target-cycle step of [p]'s engine.  Recording, the step closes
+   three laps: everything the sweep did before it (firing rules, cone
+   evals, token packing, queue operations) as exchange, then the comb
+   and the seq pass as run, also charged to the engine's own record
+   when its passes are the simulator's untimed ones. *)
+let step_engine t p =
+  let e = p.pt_engine in
+  if not t.recording then begin
+    e.Engine.eval_comb ();
+    e.Engine.step_seq ()
+  end
+  else begin
+    charge_exchange p (Telemetry.Clock.lap ());
+    e.Engine.eval_comb ();
+    let comb = Telemetry.Clock.lap () in
+    e.Engine.step_seq ();
+    let seq = Telemetry.Clock.lap () in
+    (match e.Engine.pass_record with
+    | Some r ->
+      Telemetry.Profile.add_comb r comb;
+      Telemetry.Profile.add_seq r seq
+    | None -> ());
+    Telemetry.Profile.add_run p.pt_prof (comb + seq);
+    Telemetry.Profile.add_cycles p.pt_prof 1
+  end
+
 (** One attempt at everything partition [p] can do: fire every output
     whose dependencies hold tokens (the firing rule), then advance one
     target cycle if every input holds a token and every output has fired
@@ -336,9 +385,13 @@ let introspect t : Telemetry.Snapshot.t =
       applied to the engine at most once per sweep even when several
       outputs share the dependency.
     - The advance rule consumes all heads under ONE lock with a single
-      wakeup bump, instead of a lock + broadcast per queue.
+      wakeup bump, once they are applied and before the engine steps.
 
-    Returns whether any transition happened. *)
+    While a sink is live it counts attempts, fires and tokens, and times
+    productive sweeps on the domain's lap chain ({!step_engine}); a
+    sweep that made no progress closes no lap, so its time lands in the
+    next lap the domain closes.  Returns whether any transition
+    happened. *)
 let sweep t p ~block ~abort =
   freeze t;
   let n = p.pt_notif in
@@ -368,7 +421,7 @@ let sweep t p ~block ~abort =
   let progress = ref false in
   Array.iter
     (fun oc ->
-      Telemetry.incr oc.oc_attempts;
+      if t.recording then oc.oc_attempts <- oc.oc_attempts + 1;
       if (not oc.oc_fired) && List.for_all have oc.oc_deps then begin
         List.iter apply_once oc.oc_deps;
         oc.oc_eval ();
@@ -380,23 +433,15 @@ let sweep t p ~block ~abort =
         List.iter
           (fun (dp, di) ->
             let dst = t.frozen.(dp).pt_ins.(di) in
-            if t.prof_on then begin
-              (* Enqueue cost lands on the destination channel and on
-                 the executing partition's exchange slice. *)
-              let t0 = Telemetry.Profile.now_ns t.prof in
-              Channel.Bqueue.push dst.ic_queue tok ~block ~abort;
-              let dt = Telemetry.Profile.now_ns t.prof - t0 in
-              Telemetry.Profile.add_enq dst.ic_prof ~tokens:1 dt;
-              Telemetry.Profile.add_exchange p.pt_prof dt
-            end
-            else Channel.Bqueue.push dst.ic_queue tok ~block ~abort;
+            Channel.Bqueue.push dst.ic_queue tok ~block ~abort;
             Atomic.incr t.token_transfers;
-            if t.tel_on then begin
-              Telemetry.incr dst.ic_enq;
-              Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
+            if t.recording then begin
+              Telemetry.Profile.add_enq dst.ic_rec ~tokens:1 0;
+              if t.tel_on then
+                Telemetry.set_max dst.ic_peak (Channel.Bqueue.length dst.ic_queue)
             end)
           oc.oc_dests;
-        Telemetry.incr oc.oc_fires;
+        if t.recording then oc.oc_fires <- oc.oc_fires + 1;
         progress := true
       end)
     p.pt_outs;
@@ -405,36 +450,24 @@ let sweep t p ~block ~abort =
     for i = 0 to ni - 1 do
       apply_once i
     done;
-    p.pt_engine.Engine.eval_comb ();
-    p.pt_engine.Engine.step_seq ();
     if ni > 0 then begin
-      (* The batched drop is one locked section for all ni heads; its
-         cost is split evenly across the consumed channels. *)
-      let t0 = if t.prof_on then Telemetry.Profile.now_ns t.prof else 0 in
       Mutex.lock n.Channel.Notifier.n_mu;
-      Array.iter
-        (fun ic ->
-          Channel.Bqueue.drop_unlocked ic.ic_queue;
-          Telemetry.incr ic.ic_deq)
-        p.pt_ins;
+      Array.iter (fun ic -> Channel.Bqueue.drop_unlocked ic.ic_queue) p.pt_ins;
       Channel.Notifier.bump n;
       Mutex.unlock n.Channel.Notifier.n_mu;
-      if t.prof_on then begin
-        let dt = Telemetry.Profile.now_ns t.prof - t0 in
-        Telemetry.Profile.add_exchange p.pt_prof dt;
-        let share = dt / ni in
-        Array.iter
-          (fun ic -> Telemetry.Profile.add_deq ic.ic_prof ~tokens:1 share)
-          p.pt_ins
-      end
+      if t.recording then
+        Array.iter (fun ic -> Telemetry.Profile.add_deq ic.ic_rec ~tokens:1 0) p.pt_ins
     end;
+    step_engine t p;
     Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
     p.pt_cycle <- p.pt_cycle + 1;
-    if t.prof_on then Telemetry.Profile.add_cycles p.pt_prof 1;
     p.pt_drive p.pt_engine p.pt_cycle;
-    progress := true
-  end;
-  !progress
+    true
+  end
+  else begin
+    if t.recording && !progress then charge_exchange p (Telemetry.Clock.lap ());
+    !progress
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Quiescence (deadlock detection)                                     *)

@@ -12,11 +12,10 @@
 type in_chan = {
   ic_spec : Channel.spec;
   ic_queue : Channel.token Channel.Bqueue.t;
-  ic_enq : Telemetry.counter;
-  ic_deq : Telemetry.counter;
+  ic_rec : Telemetry.Profile.chan;
+      (** tokens pushed and consumed, read by both sinks *)
   ic_peak : Telemetry.gauge;
   ic_stalled : Telemetry.counter;
-  ic_prof : Telemetry.Profile.chan;
 }
 
 type out_chan = {
@@ -25,8 +24,8 @@ type out_chan = {
   oc_eval : unit -> unit;
   mutable oc_fired : bool;
   mutable oc_dests : (int * int) list;
-  oc_attempts : Telemetry.counter;
-  oc_fires : Telemetry.counter;
+  mutable oc_attempts : int;
+  mutable oc_fires : int;
 }
 
 type partition = {
@@ -39,6 +38,7 @@ type partition = {
   mutable pt_cycle : int;
   mutable pt_drive : Engine.t -> int -> unit;
   pt_prof : Telemetry.Profile.part;
+      (** the partition's timeline, read by both sinks *)
 }
 
 type t
@@ -48,8 +48,9 @@ exception Deadlock of string
 (** [queue_capacity] bounds every input channel queue (default
     {!default_queue_capacity}); the parallel scheduler backpressures on
     a full queue, the sequential one treats it as a hard error.
-    [telemetry] (default {!Telemetry.null}, free on the hot path) makes
-    every channel register per-channel counters and gauges. *)
+    [telemetry] (default {!Telemetry.null}) makes every channel register
+    per-channel counters and gauges; with it and [profile] both off,
+    {!sweep} makes no call into either sink. *)
 val create :
   ?queue_capacity:int -> ?telemetry:Telemetry.t -> ?profile:Telemetry.Profile.t -> unit -> t
 
@@ -64,6 +65,12 @@ val telemetry : t -> Telemetry.t
 val profile : t -> Telemetry.Profile.t
 
 val profile_enabled : t -> bool
+
+(** Whether either sink is live (fixed at {!create}): the network then
+    counts token movement and times productive sweeps on the sweeping
+    domain's {!Telemetry.Clock} lap chain, which every run starts in
+    {!prime}. *)
+val recording : t -> bool
 
 (** Declares a partition; [outs] pairs each output channel with the
     names of the input channels it combinationally depends on.  Returns
@@ -106,7 +113,8 @@ val groups : t -> int array
 
 (** Applies every partition's drive hook for the partition's current
     target cycle (0 on a fresh network); schedulers call this once at
-    the start of each run, so stepped runs drive each cycle once. *)
+    the start of each run, so stepped runs drive each cycle once.
+    While {!recording} it also starts the calling domain's lap chain. *)
 val prime : t -> unit
 
 (** Structured network-state snapshot — per partition: target cycle,
@@ -121,7 +129,10 @@ val introspect : t -> Telemetry.Snapshot.t
     cycle) if every input holds a token and every output has fired.  A
     single notifier lock snapshots all input heads, each head is applied
     to the engine at most once, and the advance consumes all heads under
-    one lock with a single wakeup bump.  [block] selects backpressure on
+    one lock with a single wakeup bump.  While {!recording}, a productive
+    sweep closes laps of the domain's clock chain: its time outside the
+    engine passes as the partition's exchange, a local engine's passes
+    on its record.  [block] selects backpressure on
     a full destination queue ([true] in the parallel scheduler, else
     {!Channel.Bqueue.Full}); [abort] lets a blocked push bail out.
     Returns whether any transition happened. *)

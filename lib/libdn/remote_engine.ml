@@ -50,15 +50,16 @@ type conn = {
   mutable c_cones : (string * int) list;
       (** cone registrations (command line, id), newest first — replayed
           verbatim by {!reconnect} so baked-in cone ids stay valid *)
-  c_tel_on : bool;  (** gates the clock reads around round trips *)
-  c_bytes_out : Telemetry.counter;  (** protocol bytes written (incl. newline) *)
-  c_bytes_in : Telemetry.counter;  (** reply bytes read (incl. newline) *)
+  c_recording : bool;
+      (** either sink is live: count protocol bytes (newlines included)
+          and time round trips into [c_wire] *)
+  c_wire : Telemetry.Profile.wire;
+      (** the one record of round trips, bytes and wire ns: the
+          profile's wire row and the metrics' [remote.<label>.bytes_*] *)
   c_rtt : Telemetry.hist;  (** request/reply round-trip latency, µs *)
   c_profile : bool;
       (** worker spawned with profiling on (5th argv slot; replayed by
           {!reconnect}) *)
-  c_prof_on : bool;  (** gates the wire-cost clock reads *)
-  c_wire : Telemetry.Profile.wire;  (** round trips, bytes, wire ns *)
 }
 
 exception Worker_died of { label : string; last_command : string; status : string }
@@ -125,7 +126,8 @@ let read_line ?timeout conn =
 
 let write_line conn line =
   conn.c_last <- line;
-  Telemetry.add conn.c_bytes_out (String.length line + 1);
+  if conn.c_recording then
+    Telemetry.Profile.add_bytes conn.c_wire ~bytes_out:(String.length line + 1) ~bytes_in:0;
   try
     output_string conn.c_out line;
     output_char conn.c_out '\n'
@@ -136,21 +138,15 @@ let send conn fmt = Printf.ksprintf (write_line conn) fmt
 let ask conn fmt =
   Printf.ksprintf
     (fun line ->
-      let timed = conn.c_tel_on || conn.c_prof_on in
-      let t0 = if timed then Unix.gettimeofday () else 0. in
+      let t0 = if conn.c_recording then Telemetry.Clock.now_ns () else 0 in
       write_line conn line;
       (try flush conn.c_out with Sys_error _ -> died conn);
       let reply = read_line conn in
-      if timed then begin
-        let dt = Unix.gettimeofday () -. t0 in
-        if conn.c_tel_on then begin
-          Telemetry.observe conn.c_rtt (int_of_float (dt *. 1e6));
-          Telemetry.add conn.c_bytes_in (String.length reply + 1)
-        end;
-        Telemetry.Profile.add_wire conn.c_wire
-          ~bytes_out:(String.length line + 1)
-          ~bytes_in:(String.length reply + 1)
-          (int_of_float (dt *. 1e9))
+      if conn.c_recording then begin
+        let dt = Telemetry.Clock.now_ns () - t0 in
+        Telemetry.observe conn.c_rtt (dt / 1000);
+        Telemetry.Profile.add_wire conn.c_wire ~bytes_out:0
+          ~bytes_in:(String.length reply + 1) dt
       end;
       reply)
     fmt
@@ -222,6 +218,9 @@ let spawn ?(label = "unnamed") ?read_timeout ?(telemetry = Telemetry.null)
     launch ~worker ~fir_path ~engine ~lanes ~profile:profiled
   in
   let metric kind = Printf.sprintf "remote.%s.%s" label kind in
+  let wire = Telemetry.Profile.wire profile ~label in
+  Telemetry.counter_of telemetry (metric "bytes_out") (fun () -> Telemetry.Profile.bytes_out wire);
+  Telemetry.counter_of telemetry (metric "bytes_in") (fun () -> Telemetry.Profile.bytes_in wire);
   let conn =
     {
       c_rd = Wire.reader ~label parent_read;
@@ -235,13 +234,10 @@ let spawn ?(label = "unnamed") ?read_timeout ?(telemetry = Telemetry.null)
       c_engine = engine;
       c_lanes = lanes;
       c_cones = [];
-      c_tel_on = Telemetry.enabled telemetry;
-      c_bytes_out = Telemetry.counter telemetry (metric "bytes_out");
-      c_bytes_in = Telemetry.counter telemetry (metric "bytes_in");
+      c_recording = profiled || Telemetry.enabled telemetry;
+      c_wire = wire;
       c_rtt = Telemetry.hist telemetry (metric "rtt_us");
       c_profile = profiled;
-      c_prof_on = profiled;
-      c_wire = Telemetry.Profile.wire profile ~label;
     }
   in
   (* The worker announces itself once the circuit is loaded, so the
@@ -402,7 +398,8 @@ let save_state conn =
     let buf = Buffer.create 4096 in
     for _ = 1 to n do
       let line = read_line conn in
-      Telemetry.add conn.c_bytes_in (String.length line + 1);
+      if conn.c_recording then
+        Telemetry.Profile.add_bytes conn.c_wire ~bytes_out:0 ~bytes_in:(String.length line + 1);
       Buffer.add_string buf line;
       Buffer.add_char buf '\n'
     done;
@@ -453,6 +450,7 @@ let engine conn =
     get_ports = (fun names -> sample conn names);
     eval_comb = (fun () -> send conn "eval");
     step_seq = (fun () -> send conn "step");
+    pass_record = None;
     make_cone_eval =
       (fun roots ->
         let line = "cone " ^ String.concat " " roots in

@@ -119,15 +119,24 @@ let seq_deadlock net ~target =
   assert (Network.quiescent net ~target);
   Network.raise_deadlock net
 
+(* The network records each sweep; this loop only knows its round
+   count, handed to the metrics sink once per run. *)
+let count_rounds net rounds =
+  let tel = Network.telemetry net in
+  if Telemetry.enabled tel then Telemetry.add (Telemetry.counter tel "sched.seq.sweeps") rounds
+
 let run_seq net ~cycles =
   let parts = Network.partitions net in
-  let sweeps = Telemetry.counter (Network.telemetry net) "sched.seq.sweeps" in
   let behind () = Array.exists (fun p -> p.Network.pt_cycle < cycles) parts in
+  let rounds = ref 0 in
   while behind () do
-    Telemetry.incr sweeps;
-    if (not (seq_round net parts ~target:cycles)) && behind () then
+    incr rounds;
+    if (not (seq_round net parts ~target:cycles)) && behind () then begin
+      count_rounds net !rounds;
       seq_deadlock net ~target:cycles
-  done
+    end
+  done;
+  count_rounds net !rounds
 
 (* ------------------------------------------------------------------ *)
 (* Parallel                                                            *)
@@ -212,73 +221,63 @@ let par_fail net mon e =
   Mutex.unlock mon.m_mu;
   wake_all net
 
-(* One partition as seen by the worker that owns it: its telemetry
-   (Chrome track, [sched.par.<p>.*] counters) and the state of its
-   latest visit and open run segment. *)
+(* One partition as seen by the worker that owns it: its Chrome track
+   and the state of its latest visit and open run segment.  Its
+   [sched.par.<p>.*] metrics are views of the partition's profile
+   record, the one record both sinks read. *)
 type member = {
   part : Network.partition;
-  track : Telemetry.Chrome_trace.track option;
-  run_ns : Telemetry.counter;
-  idle_ns : Telemetry.counter;
-  spins : Telemetry.counter;
-  parks : Telemetry.counter;
-  mutable seg_start : float;  (** start of the open "run" segment (µs) *)
+  track : (Telemetry.Chrome_trace.t * Telemetry.Chrome_trace.track) option;
+  mutable seg_start : int;  (** clock stamp opening the "run" segment *)
   mutable stalled : bool;  (** the latest visit made no progress *)
   mutable blocked : string option;  (** the input that stalled it *)
-  mutable visit_ns : int;  (** profile: how long that failed visit took *)
+  mutable visit_ns : int;  (** how long that failed visit took *)
 }
 
 let member net p =
   let tel = Network.telemetry net in
   let name = p.Network.pt_name in
-  let counter kind =
-    Telemetry.counter tel (Printf.sprintf "sched.par.%s.%s" name kind)
-  in
-  ignore (counter "barrier_ns");
+  if Telemetry.enabled tel then
+    List.iter
+      (fun (kind, read) ->
+        Telemetry.counter_of tel (Printf.sprintf "sched.par.%s.%s" name kind) (fun () ->
+            read p.Network.pt_prof))
+      Telemetry.Profile.
+        [
+          ("run_ns", run_ns);
+          ("idle_ns", park_ns);
+          ("spins", spins);
+          ("parks", parks);
+          ("barrier_ns", barrier_ns);
+        ];
   {
     part = p;
     track =
       Option.map
         (fun tc ->
-          Telemetry.Chrome_trace.track tc ~pid:p.Network.pt_index ~tid:0
-            ~pname:("partition " ^ name) ~name:"domain" ())
+          ( tc,
+            Telemetry.Chrome_trace.track tc ~pid:p.Network.pt_index ~tid:0
+              ~pname:("partition " ^ name) ~name:"domain" () ))
         (Telemetry.trace tel);
-    run_ns = counter "run_ns";
-    idle_ns = counter "idle_ns";
-    spins = counter "spins";
-    parks = counter "parks";
-    seg_start = 0.;
+    seg_start = 0;
     stalled = false;
     blocked = None;
     visit_ns = 0;
   }
 
-(* µs on the trace collector's timeline.  The barrier attribution after
-   the joins also needs finish stamps when only the profiler is live. *)
-let clock net =
-  let tel = Network.telemetry net in
-  match Telemetry.trace tel with
-  | Some tc -> fun () -> Telemetry.Chrome_trace.now_us tc
-  | None ->
-    if Telemetry.enabled tel || Network.profile_enabled net then fun () ->
-      Telemetry.now_us tel
-    else fun () -> 0.
-
-let ns_of_us us = int_of_float (us *. 1000.)
-
 (* Spans are recorded only at park boundaries and at finish, so event
    counts are bounded by the number of stalls, not cycles.  Each member
    appends to its own track from its worker's domain; export only runs
    after the workers are joined. *)
-let span m ~name ~args ~ts ~dur =
+let span m ~name ~args ~start ~stop =
   match m.track with
-  | Some tr when dur > 0. -> Telemetry.Chrome_trace.span tr ~name ~args ~ts ~dur ()
+  | Some (tc, tr) when stop > start ->
+    Telemetry.Chrome_trace.span tr ~name ~args ~ts:(Telemetry.Chrome_trace.ts tc start)
+      ~dur:(float_of_int (stop - start) /. 1e3) ()
   | _ -> ()
 
-(* Closes [m]'s open "run" segment at [now] and charges it. *)
-let end_run m now =
-  Telemetry.add m.run_ns (ns_of_us (now -. m.seg_start));
-  span m ~name:"run" ~args:[] ~ts:m.seg_start ~dur:(now -. m.seg_start)
+(* Closes [m]'s open "run" segment at [now]. *)
+let end_run m now = span m ~name:"run" ~args:[] ~start:m.seg_start ~stop:now
 
 (* Adaptive spin-then-park idle policy.  Parking costs a futex round
    trip plus a broadcast on the producer side — orders of magnitude more
@@ -335,100 +334,87 @@ let spin_for notif ~seen ~abort ~budget =
    not share a notifier), and a fruitless round is quiescence — the run
    deadlocks exactly as {!run_seq} does.
 
-   Accounting is per member, so a one-member worker counts what a
-   dedicated domain per partition would:
-   - a failed visit attributes the stall to its blocking input;
-   - a failed visit in a round where another member progressed counts
-     as one spin;
-   - a round with no progress counts one spin or one park for each
-     stalled member;
+   While the network records, the worker's domain keeps one lap chain
+   ({!Telemetry.Clock}), so each member's phases tile the worker's
+   wall time with one clock read per boundary:
+   - a productive visit is "run", timed by the sweep itself (its token
+     exchange and engine passes are laps of the same chain);
+   - a failed visit attributes the stall to its blocking input and is
+     timed by one lap;
+   - a failed visit in a round where another member progressed, or
+     before a spin that caught a wakeup, counts one spin, charged the
+     visit plus the busy-wait;
+   - a failed visit before a park counts one park: the visit and the
+     busy-wait that gave up are spin time, the off-CPU wait in
+     [par_block] is park time;
    - each member's Chrome "run" segment closes at a park (the park
      itself is a "stall" span tagged with the blocking input) and when
-     the member finishes;
-   - profile phases: a productive visit is "run" (token exchange carved
-     out by the network), a failed visit plus the busy-wait after it is
-     "spin", the off-CPU wait in [par_block] is "park" — so a one-member
-     worker's phases tile its domain's wall time. *)
+     the member finishes.
+   With both sinks off none of this runs: no clock read, no record. *)
 let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
   let abort () = Atomic.get mon.m_abort in
-  let on = Telemetry.enabled (Network.telemetry net) in
-  let pon = Network.profile_enabled net in
-  let now_ns =
-    let prof = Network.profile net in
-    if pon then fun () -> Telemetry.Profile.now_ns prof else fun () -> 0
-  in
-  let clock = clock net in
+  let recording = Network.recording net in
+  let tel_on = Telemetry.enabled (Network.telemetry net) in
   let ms = Array.map (member net) ps in
   let notif = ps.(0).Network.pt_notif in
   let budget = ref spin_initial in
   let unfinished m = m.part.Network.pt_cycle < cycles in
   let prof m = m.part.Network.pt_prof in
-  let t_start = clock () in
-  if on || pon then started.(slot) <- t_start;
-  Array.iter (fun m -> m.seg_start <- t_start) ms;
-  (* Profile stamp where the latest accounted interval ended: each
-     visit, spin and park starts there, so a member's phases tile its
-     worker's wall time with no unaccounted gaps. *)
-  let last_ns = ref (now_ns ()) in
+  if recording then begin
+    let t0 = Telemetry.Clock.mark () in
+    started.(slot) <- t0;
+    Array.iter (fun m -> m.seg_start <- t0) ms
+  end;
   let visit m =
     m.stalled <- false;
     unfinished m
     && begin
-      let t0 = !last_ns in
       let prog = Network.sweep net m.part ~block:(not inline) ~abort in
       if not prog then begin
         m.stalled <- true;
-        m.blocked <- (if on then Network.record_stall m.part else None)
-      end;
-      last_ns := now_ns ();
-      if prog then begin
-        Telemetry.Profile.add_run (prof m) (!last_ns - t0);
-        if on && not (unfinished m) then end_run m (clock ())
+        if recording then begin
+          m.blocked <- (if tel_on then Network.record_stall m.part else None);
+          m.visit_ns <- Telemetry.Clock.lap ()
+        end
       end
-      else m.visit_ns <- !last_ns - t0;
+      else if recording && not (unfinished m) then end_run m (Telemetry.Clock.last ());
       prog
     end
   in
-  let count_spins ~spin_ns =
-    for i = 0 to Array.length ms - 1 do
-      let m = ms.(i) in
-      if m.stalled then begin
-        Telemetry.incr m.spins;
-        Telemetry.Profile.add_spin (prof m) (m.visit_ns + spin_ns)
-      end
-    done
+  let count_spins ~wait =
+    Array.iter
+      (fun m -> if m.stalled then Telemetry.Profile.add_spin (prof m) (m.visit_ns + wait))
+      ms
   in
   let park ~seen =
-    let tp = now_ns () in
-    let t_park = clock () in
-    Array.iter
-      (fun m ->
-        if m.stalled then begin
-          Telemetry.incr m.parks;
-          Telemetry.Profile.add_spin (prof m) (m.visit_ns + tp - !last_ns);
-          if on then end_run m t_park
-        end)
-      ms;
-    par_block net mon ~notif ~cycles ~seen;
-    last_ns := now_ns ();
-    let park_ns = !last_ns - tp in
-    let t_wake = clock () in
-    Array.iter
-      (fun m ->
-        if m.stalled then begin
-          Telemetry.Profile.add_park (prof m) park_ns;
-          if on then begin
-            Telemetry.add m.idle_ns (ns_of_us (t_wake -. t_park));
+    if not recording then par_block net mon ~notif ~cycles ~seen
+    else begin
+      let wait = Telemetry.Clock.lap () in
+      let t_park = Telemetry.Clock.last () in
+      Array.iter
+        (fun m ->
+          if m.stalled then begin
+            Telemetry.Profile.add_spin_ns (prof m) (m.visit_ns + wait);
+            end_run m t_park
+          end)
+        ms;
+      par_block net mon ~notif ~cycles ~seen;
+      let parked = Telemetry.Clock.lap () in
+      let t_wake = Telemetry.Clock.last () in
+      Array.iter
+        (fun m ->
+          if m.stalled then begin
+            Telemetry.Profile.add_park (prof m) parked;
             let args =
               match m.blocked with
               | None -> []
               | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
             in
-            span m ~name:"stall" ~args ~ts:t_park ~dur:(t_wake -. t_park);
+            span m ~name:"stall" ~args ~start:t_park ~stop:t_wake;
             m.seg_start <- t_wake
-          end
-        end)
-      ms
+          end)
+        ms
+    end
   in
   (try
      while Array.exists unfinished ms && not (abort ()) do
@@ -437,16 +423,14 @@ let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
        for i = 0 to Array.length ms - 1 do
          if visit ms.(i) then progress := true
        done;
-       if !progress then count_spins ~spin_ns:0
+       if !progress then (if recording then count_spins ~wait:0)
        else if inline then begin
-         count_spins ~spin_ns:0;
+         if recording then count_spins ~wait:0;
          assert (Network.quiescent net ~target:cycles);
          declare_dead mon
        end
        else if spin && spin_for notif ~seen ~abort ~budget:!budget then begin
-         let t = now_ns () in
-         count_spins ~spin_ns:(t - !last_ns);
-         last_ns := t;
+         if recording then count_spins ~wait:(Telemetry.Clock.lap ());
          budget := min spin_max (2 * !budget)
        end
        else begin
@@ -455,9 +439,9 @@ let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
        end
      done
    with e -> par_fail net mon e);
-  if on || pon then begin
-    let t_done = clock () in
-    if on then Array.iter (fun m -> if unfinished m then end_run m t_done) ms;
+  if recording then begin
+    let t_done = Telemetry.Clock.now_ns () in
+    Array.iter (fun m -> if unfinished m then end_run m t_done) ms;
     finished.(slot) <- t_done
   end;
   par_exit net mon ~cycles
@@ -499,8 +483,8 @@ let run_par net ~cycles =
         m_abort = Atomic.make false;
       }
     in
-    let started = Array.make nw 0. in
-    let finished = Array.make nw 0. in
+    let started = Array.make nw 0 in
+    let finished = Array.make nw 0 in
     (* Spinning is only profitable when every worker domain can hold a
        hardware thread; oversubscribed, a spinner burns the core its
        producer needs to make the token it is waiting for.  Fused
@@ -516,36 +500,24 @@ let run_par net ~cycles =
     else
       List.mapi (fun slot ps -> Domain.spawn (fun () -> work slot ps)) groups
       |> List.iter Domain.join;
-    (* Barrier-wait attribution: time each worker idled between its own
-       finish and the last worker's — computed here, after the joins, so
-       no cross-domain synchronization is needed while running. *)
-    let tel = Network.telemetry net in
-    if (Telemetry.enabled tel || profiled) && mon.m_error = None && not mon.m_dead
-    then begin
-      let last = Array.fold_left max 0. finished in
-      let first = Array.fold_left min infinity started in
+    (* Barrier-wait attribution, computed after the joins so no
+       cross-domain synchronization is needed while running: the time
+       each worker idled between its own finish and the last worker's,
+       plus a late start (the partition existed but had no CPU yet).
+       Every worker's phases then tile [first, last], the span
+       accumulated as the profile's wall-clock denominator. *)
+    if Network.recording net && mon.m_error = None && not mon.m_dead then begin
+      let last = Array.fold_left max 0 finished in
+      let first = Array.fold_left min max_int started in
       List.iteri
         (fun slot ps ->
           Array.iter
             (fun p ->
-              let gap = ns_of_us (last -. finished.(slot)) in
-              Telemetry.add
-                (Telemetry.counter tel
-                   (Printf.sprintf "sched.par.%s.barrier_ns" p.Network.pt_name))
-                gap;
-              Telemetry.Profile.add_barrier p.Network.pt_prof gap;
-              (* A late worker start is also synchronization overhead:
-                 the partition existed but had no CPU yet.  Charged as
-                 barrier, so every worker's phases tile [first, last] —
-                 the span accumulated as the export's wall-clock
-                 denominator. *)
               Telemetry.Profile.add_barrier p.Network.pt_prof
-                (ns_of_us (started.(slot) -. first)))
+                (last - finished.(slot) + started.(slot) - first))
             ps)
         groups;
-      if profiled then
-        Telemetry.Profile.add_wall_ns (Network.profile net)
-          (ns_of_us (last -. first))
+      Telemetry.Profile.add_wall_ns (Network.profile net) (last - first)
     end;
     (match mon.m_error with
     | Some e -> raise e

@@ -70,10 +70,9 @@ let checkpoint t =
   match t.sv_dir with
   | None -> None
   | Some dir ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Telemetry.Clock.now_ns () in
     let path = Bundle.save ~dir t.sv_handle in
-    Telemetry.observe t.sv_ckpt_us
-      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+    Telemetry.observe t.sv_ckpt_us ((Telemetry.Clock.now_ns () - t0) / 1000);
     Telemetry.incr t.sv_ckpts;
     t.sv_last_ckpt <- cycle0 t;
     t.sv_on_event (Checkpointed { cycle = cycle0 t; path });
@@ -99,7 +98,7 @@ let restore_newest ~dir ~on_skip h =
 (* Respawn every dead remote worker behind its existing connection,
    then roll the whole network back to the newest restorable bundle. *)
 let recover t =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Telemetry.Clock.now_ns () in
   let h = t.sv_handle in
   List.iter
     (fun (k, conn) ->
@@ -121,8 +120,7 @@ let recover t =
           t.sv_on_event (Skipped_bundle { path; reason }))
     in
     t.sv_on_event (Rolled_back { to_cycle; path }));
-  Telemetry.observe t.sv_recovery_us
-    (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+  Telemetry.observe t.sv_recovery_us ((Telemetry.Clock.now_ns () - t0) / 1000)
 
 (* Also exposed as [heal]: the same path serves crashes observed
    outside [run], e.g. during an out-of-band waveform sample. *)

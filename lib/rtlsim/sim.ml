@@ -73,10 +73,12 @@ type t = {
       (** the compiled program when [engine = Bytecode] (stats, lane
           plumbing, introspection) *)
   reg_slots : int array;  (** per [Reg_update] (stmt order): its value slot *)
-  wrapped : Telemetry.counter;  (** out-of-range memory write addresses *)
   profile : Telemetry.Profile.t;
   plabel : string;  (** the unit name profile recorders are filed under *)
   eprof : Telemetry.Profile.engine;
+  timed : bool;
+      (** [profile] is live: {!eval_comb} and {!step_seq} time their
+          passes into [eprof] (fixed at creation) *)
   mutable cycle : int;
 }
 
@@ -160,126 +162,114 @@ let of_analysis ?(engine = default_engine) ?(telemetry = Telemetry.null)
     |> Array.of_list
   in
   let wrapped = Telemetry.counter telemetry "rtlsim.mem.addr_wrapped" in
-  match engine with
-  | Bytecode ->
-    let opt_flat =
-      try Opt.optimize ?roots:dce_roots flat
-      with Opt.Opt_error msg -> sim_error "%s" msg
-    in
-    (* The optimizer may introduce fresh wires (global subexpression
-       sharing); slot them above every original name so original
-       indices — and everything keyed on them — are untouched. *)
-    let widths =
-      let extra =
-        List.filter_map
-          (fun c ->
-            match c with
-            | Ast.Wire { name; width } when not (Hashtbl.mem slots name) ->
-              Some (name, width)
-            | Ast.Wire _ | Ast.Reg _ | Ast.Mem _ | Ast.Inst _ -> None)
-          opt_flat.Ast.comps
+  let analysis, widths, lane_values, lane_mems, exec, bc, (kind, comb_hist, seq_hist) =
+    match engine with
+    | Bytecode ->
+      let opt_flat =
+        try Opt.optimize ?roots:dce_roots flat
+        with Opt.Opt_error msg -> sim_error "%s" msg
       in
-      if extra = [] then widths
-      else begin
-        let base = Array.length widths in
-        let ext = Array.make (base + List.length extra) 0 in
-        Array.blit widths 0 ext 0 base;
-        List.iteri
-          (fun i (name, w) ->
-            Hashtbl.replace slots name (base + i);
-            ext.(base + i) <- w)
-          extra;
-        ext
-      end
-    in
-    let analysis = Analysis.build opt_flat in
-    let bc =
-      try Bytecode.compile ~flat:opt_flat ~analysis ~slots ~widths ~mems ~mem_widths ~wrapped ()
-      with Bytecode.Error msg -> sim_error "%s" msg
-    in
-    let lane_slots = (Bytecode.stats bc).Bytecode.slots in
-    let values = Array.make lane_slots 0 in
-    init_regs values;
-    Bytecode.bind bc values;
-    Bytecode.set_lanes bc lanes;
-    let lane_values =
-      Array.init lanes (fun k ->
-          if k = 0 then values
-          else begin
+      (* The optimizer may introduce fresh wires (global subexpression
+         sharing); slot them above every original name so original
+         indices — and everything keyed on them — are untouched. *)
+      let widths =
+        let extra =
+          List.filter_map
+            (fun c ->
+              match c with
+              | Ast.Wire { name; width } when not (Hashtbl.mem slots name) ->
+                Some (name, width)
+              | Ast.Wire _ | Ast.Reg _ | Ast.Mem _ | Ast.Inst _ -> None)
+            opt_flat.Ast.comps
+        in
+        if extra = [] then widths
+        else begin
+          let base = Array.length widths in
+          let ext = Array.make (base + List.length extra) 0 in
+          Array.blit widths 0 ext 0 base;
+          List.iteri
+            (fun i (name, w) ->
+              Hashtbl.replace slots name (base + i);
+              ext.(base + i) <- w)
+            extra;
+          ext
+        end
+      in
+      let analysis = Analysis.build opt_flat in
+      let bc =
+        try Bytecode.compile ~flat:opt_flat ~analysis ~slots ~widths ~mems ~mem_widths ~wrapped ()
+        with Bytecode.Error msg -> sim_error "%s" msg
+      in
+      let lane_slots = (Bytecode.stats bc).Bytecode.slots in
+      let lane_values =
+        Array.init lanes (fun k ->
             let v = Array.make lane_slots 0 in
             init_regs v;
-            Bytecode.bind_lane bc k v;
-            v
-          end)
-    in
-    let lane_mems =
-      Array.init lanes (fun k ->
-          if k = 0 then mems
-          else begin
-            let h = Hashtbl.create (Hashtbl.length mems) in
-            Hashtbl.iter
-              (fun name _ -> Hashtbl.replace h name (Bytecode.lane_mem bc ~lane:k name))
-              mems;
-            h
-          end)
-    in
-    {
-      flat;
-      analysis;
-      engine;
-      slots;
-      widths;
-      values;
-      lane_values;
-      mems;
-      lane_mems;
-      exec = Engine.Packed ((module Bytecode : Engine.S with type t = Bytecode.t), bc);
-      bc = Some bc;
-      reg_slots;
-      reg_inits;
-      wrapped;
-      profile;
-      plabel;
-      eprof =
-        Telemetry.Profile.engine profile ~label:plabel ~kind:Bytecode.name ~lanes
-          ~comb_hist:(Bytecode.comb_class_hist bc)
-          ~seq_hist:(Bytecode.seq_class_hist bc);
-      cycle = 0;
-    }
-  | Closure ->
-    if lanes > 1 then
-      sim_error "engine closure is single-lane; lanes=%d requires the bytecode engine"
-        lanes;
-    let analysis = base_analysis in
-    let values = Array.make (Array.length widths) 0 in
-    init_regs values;
-    let cl =
-      try Closure.compile ~flat ~analysis ~slots ~widths ~mems ~mem_widths ~values ~wrapped ()
-      with Closure.Error msg -> sim_error "%s" msg
-    in
-    {
-      flat;
-      analysis;
-      engine;
-      slots;
-      widths;
-      values;
-      lane_values = [| values |];
-      mems;
-      lane_mems = [| mems |];
-      exec = Engine.Packed ((module Closure : Engine.S with type t = Closure.t), cl);
-      bc = None;
-      reg_slots;
-      reg_inits;
-      wrapped;
-      profile;
-      plabel;
-      eprof =
-        Telemetry.Profile.engine profile ~label:plabel ~kind:Closure.name ~lanes
-          ~comb_hist:(Closure.comb_class_hist cl)
-          ~seq_hist:(Closure.seq_class_hist cl);
-      cycle = 0;
-    }
+            if k = 0 then begin
+              Bytecode.bind bc v;
+              Bytecode.set_lanes bc lanes
+            end
+            else Bytecode.bind_lane bc k v;
+            v)
+      in
+      let lane_mems =
+        Array.init lanes (fun k ->
+            if k = 0 then mems
+            else begin
+              let h = Hashtbl.create (Hashtbl.length mems) in
+              Hashtbl.iter
+                (fun name _ -> Hashtbl.replace h name (Bytecode.lane_mem bc ~lane:k name))
+                mems;
+              h
+            end)
+      in
+      ( analysis,
+        widths,
+        lane_values,
+        lane_mems,
+        Engine.Packed ((module Bytecode : Engine.S with type t = Bytecode.t), bc),
+        Some bc,
+        (Bytecode.name, Bytecode.comb_class_hist bc, Bytecode.seq_class_hist bc) )
+    | Closure ->
+      if lanes > 1 then
+        sim_error "engine closure is single-lane; lanes=%d requires the bytecode engine"
+          lanes;
+      let values = Array.make (Array.length widths) 0 in
+      init_regs values;
+      let cl =
+        try
+          Closure.compile ~flat ~analysis:base_analysis ~slots ~widths ~mems ~mem_widths
+            ~values ~wrapped ()
+        with Closure.Error msg -> sim_error "%s" msg
+      in
+      ( base_analysis,
+        widths,
+        [| values |],
+        [| mems |],
+        Engine.Packed ((module Closure : Engine.S with type t = Closure.t), cl),
+        None,
+        (Closure.name, Closure.comb_class_hist cl, Closure.seq_class_hist cl) )
+  in
+  {
+    flat;
+    analysis;
+    engine;
+    slots;
+    widths;
+    values = lane_values.(0);
+    lane_values;
+    mems;
+    lane_mems;
+    exec;
+    bc;
+    reg_slots;
+    reg_inits;
+    profile;
+    plabel;
+    eprof = Telemetry.Profile.engine profile ~label:plabel ~kind ~lanes ~comb_hist ~seq_hist;
+    timed = Telemetry.Profile.enabled profile;
+    cycle = 0;
+  }
 
 let create ?engine ?telemetry ?profile ?label ?dce_roots ?lanes flat =
   of_analysis ?engine ?telemetry ?profile ?label ?dce_roots ?lanes (Analysis.build flat)
@@ -288,11 +278,6 @@ let of_circuit ?engine ?telemetry ?profile ?label ?dce_roots ?lanes circuit =
   create ?engine ?telemetry ?profile ?label ?dce_roots ?lanes (Flatten.flatten circuit)
 
 let cycle t = t.cycle
-
-(* The profile sink this simulator records into ([Profile.null] if none
-   was given) and the label its recorders are filed under. *)
-let profile t = t.profile
-let profile_label t = t.plabel
 
 (* Program facts of the compiled bytecode program, when that engine is
    underneath (compiler introspection; [None] for the closure engine). *)
@@ -316,16 +301,24 @@ let set_input_all t name v =
 
 let get ?(lane = 0) t name = (lane_vals t lane).(slot t name)
 
+(** The two passes untimed, for a driver that times them on its own
+    lap chain and charges [t.eprof] itself (the LI-BDN network). *)
+let raw_eval_comb t = Engine.eval_comb_all t.exec
+
+let raw_step_seq t =
+  Engine.stage_and_commit_all t.exec;
+  t.cycle <- t.cycle + 1
+
 (** Full combinational evaluation pass over every lane (call after
     setting inputs).  With profiling enabled the pass is counted and
-    timed; disabled, the cost is one predicted branch. *)
+    timed. *)
 let eval_comb t =
-  if Telemetry.Profile.engine_enabled t.eprof then begin
-    let t0 = Telemetry.Profile.now_ns t.profile in
-    Engine.eval_comb_all t.exec;
-    Telemetry.Profile.add_comb t.eprof (Telemetry.Profile.now_ns t.profile - t0)
+  if not t.timed then raw_eval_comb t
+  else begin
+    let t0 = Telemetry.Clock.now_ns () in
+    raw_eval_comb t;
+    Telemetry.Profile.add_comb t.eprof (Telemetry.Clock.now_ns () - t0)
   end
-  else Engine.eval_comb_all t.exec
 
 (** Naive fixpoint evaluation: repeatedly sweeps the combinational
     assignments in (deliberately unhelpful) reverse declaration order
@@ -349,13 +342,12 @@ let eval_comb_fixpoint t =
     write of the same cycle (registers banked into memories by the
     FAME-5 hardware transform make that race universal). *)
 let step_seq t =
-  if Telemetry.Profile.engine_enabled t.eprof then begin
-    let t0 = Telemetry.Profile.now_ns t.profile in
-    Engine.stage_and_commit_all t.exec;
-    Telemetry.Profile.add_seq t.eprof (Telemetry.Profile.now_ns t.profile - t0)
+  if not t.timed then raw_step_seq t
+  else begin
+    let t0 = Telemetry.Clock.now_ns () in
+    raw_step_seq t;
+    Telemetry.Profile.add_seq t.eprof (Telemetry.Clock.now_ns () - t0)
   end
-  else Engine.stage_and_commit_all t.exec;
-  t.cycle <- t.cycle + 1
 
 (** Simulates one full target cycle (all lanes). *)
 let step t =
@@ -370,8 +362,10 @@ let make_cone_eval ?(lane = 0) t roots =
   check_lane t lane;
   let order = Analysis.cone t.analysis roots in
   let eval = Engine.make_cone t.exec ~lane order in
-  (* The timing wrapper only exists when this profile is live: the
-     disabled path hands back the engine's raw closure untouched. *)
+  (* The counting wrapper only exists when this profile is live: the
+     disabled path hands back the engine's raw closure untouched.  Cone
+     evals are counted, not timed: a clock pair would cost more than
+     most cones. *)
   if not (Telemetry.Profile.enabled t.profile) then eval
   else begin
     let instrs, hist = Engine.cone_profile t.exec order in
@@ -380,9 +374,8 @@ let make_cone_eval ?(lane = 0) t roots =
         ~name:(String.concat "," roots) ~instrs ~hist
     in
     fun () ->
-      let t0 = Telemetry.Profile.now_ns t.profile in
       eval ();
-      Telemetry.Profile.add_cone_eval cn (Telemetry.Profile.now_ns t.profile - t0)
+      Telemetry.Profile.add_cone_eval cn 0
   end
 
 (* ------------------------------------------------------------------ *)

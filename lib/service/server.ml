@@ -142,8 +142,9 @@ type conn = {
          event frame, untagged push payload), bounded by [max_pushq] *)
 }
 
-(* Plain tallies so [stats] works with telemetry disabled; mirrored into
-   the config's sink when one is live. *)
+(* The one record of the service's lifecycle events: [stats] reports
+   it, and a live metrics sink exports it under [service.*] names (see
+   {!register_metrics}). *)
 type tallies = {
   mutable t_created : int;
   mutable t_rejected : int;
@@ -171,24 +172,11 @@ type t = {
   mutable next_wid : int;
   mutable touch_clock : int;
   mutable running : bool;
-  started : float;
+  started : int;  (** {!Telemetry.Clock} stamp, for [uptime_s] *)
   ev_ring : event option array;  (* journal ring, indexed seq mod length *)
   mutable ev_seq : int;  (* next sequence number *)
   dropped_by : (string, int) Hashtbl.t;  (* per-session dropped pushes *)
   tl : tallies;
-  m_created : Telemetry.counter;
-  m_rejected : Telemetry.counter;
-  m_evicted : Telemetry.counter;
-  m_resumed : Telemetry.counter;
-  m_killed : Telemetry.counter;
-  m_packed : Telemetry.counter;
-  m_detached : Telemetry.counter;
-  m_cycles : Telemetry.counter;
-  m_pushes : Telemetry.counter;
-  m_push_dropped : Telemetry.counter;
-  m_live : Telemetry.gauge;
-  m_groups : Telemetry.gauge;
-  m_subs : Telemetry.gauge;
 }
 
 let now () = Unix.gettimeofday ()
@@ -213,7 +201,6 @@ let drop_oldest sv conn =
   | None -> ()
   | Some (sid, _) ->
     sv.tl.t_push_dropped <- sv.tl.t_push_dropped + 1;
-    Telemetry.incr sv.m_push_dropped;
     (match sid with
     | None -> ()
     | Some sid ->
@@ -381,7 +368,6 @@ let drain sv g =
             Telemetry.add s.s_cycles_ctr m)
           ms;
         sv.tl.t_cycles <- sv.tl.t_cycles + (m * List.length ms);
-        Telemetry.add sv.m_cycles (m * List.length ms);
         go ()
       end
   in
@@ -468,7 +454,6 @@ let evict_session sv sess =
   remove_member sv b.b_grp b.b_lane;
   sess.s_body <- Evicted path;
   sv.tl.t_evicted <- sv.tl.t_evicted + 1;
-  Telemetry.incr sv.m_evicted;
   journal sv ~kind:"evict" ~sid:sess.s_id ~cycle:sess.s_cycle ();
   path
 
@@ -531,7 +516,6 @@ let revive sv sess =
     sess.s_body <- Live { b_grp = g; b_lane = 0 };
     sess.s_cycle <- Sim.cycle g.g_sim;
     sv.tl.t_resumed <- sv.tl.t_resumed + 1;
-    Telemetry.incr sv.m_resumed;
     journal sv ~kind:"resume" ~sid:sess.s_id ~cycle:sess.s_cycle ()
 
 let ensure_live sv sess =
@@ -569,7 +553,6 @@ let detach sv sess =
     b.b_grp <- g;
     b.b_lane <- 0;
     sv.tl.t_detached <- sv.tl.t_detached + 1;
-    Telemetry.incr sv.m_detached;
     journal sv ~kind:"detach" ~sid:sess.s_id ~cycle:(Sim.cycle g.g_sim) ();
     drain sv old;
     drain sv g
@@ -686,7 +669,6 @@ let create_session sv req design =
         | [] -> Sim.attach_lane g.g_sim
       in
       sv.tl.t_packed <- sv.tl.t_packed + 1;
-      Telemetry.incr sv.m_packed;
       (g, lane)
     | None ->
       let cost = Resource.add ce.ce_est (scale_cost (req.cr_lanes - 1) (lane_cost ce.ce_est)) in
@@ -704,7 +686,6 @@ let create_session sv req design =
   Hashtbl.replace sv.sessions sid sess;
   touch sv sess;
   sv.tl.t_created <- sv.tl.t_created + 1;
-  Telemetry.incr sv.m_created;
   journal sv ~kind:"create" ~sid ~cycle:(Sim.cycle grp.g_sim)
     ~detail:(Sim.engine_name req.cr_engine) ();
   if List.length grp.g_members > 1 then
@@ -801,7 +782,6 @@ let handle_create sv conn opts design =
     end
     else begin
       sv.tl.t_rejected <- sv.tl.t_rejected + 1;
-      Telemetry.incr sv.m_rejected;
       journal sv ~kind:"reject" ~detail:msg ();
       reply_rejected conn msg
     end
@@ -837,7 +817,6 @@ let handle_kill sv conn sid =
       | _ -> ())
     sv.conns;
   sv.tl.t_killed <- sv.tl.t_killed + 1;
-  Telemetry.incr sv.m_killed;
   journal sv ~kind:"kill" ~sid ();
   reply_ok conn []
 
@@ -873,13 +852,14 @@ let est_json (e : Resource.estimate) =
       ("dsps", Telemetry.Json.Int e.dsps);
     ]
 
+let session_counts sv =
+  Hashtbl.fold
+    (fun _ s (l, e) -> match s.s_body with Live _ -> (l + 1, e) | Evicted _ -> (l, e + 1))
+    sv.sessions (0, 0)
+
 let handle_stats sv conn =
   let module J = Telemetry.Json in
-  let live, evicted =
-    Hashtbl.fold
-      (fun _ s (l, e) -> match s.s_body with Live _ -> (l + 1, e) | Evicted _ -> (l, e + 1))
-      sv.sessions (0, 0)
-  in
+  let live, evicted = session_counts sv in
   let sessions =
     Hashtbl.fold (fun _ s acc -> s :: acc) sv.sessions []
     |> List.sort (fun a b -> compare a.s_id b.s_id)
@@ -931,7 +911,7 @@ let handle_stats sv conn =
       [
         ("schema", J.String Protocol.stats_schema);
         ("protocol", J.String Protocol.schema);
-        ("uptime_s", J.Float (now () -. sv.started));
+        ("uptime_s", J.Float (float_of_int (Telemetry.Clock.now_ns () - sv.started) /. 1e9));
         ("board", J.String sv.cfg.board.Fpga.board_name);
         ("sessions", J.Int (Hashtbl.length sv.sessions));
         ("subscriptions", J.Int (subscription_count sv));
@@ -1131,7 +1111,6 @@ let safe_handle sv conn payload =
   try handle sv conn payload with
   | Reject msg ->
     sv.tl.t_rejected <- sv.tl.t_rejected + 1;
-    Telemetry.incr sv.m_rejected;
     journal sv ~kind:"reject" ~detail:msg ();
     reply_rejected conn msg
   | Failure msg -> reply_err conn msg
@@ -1212,8 +1191,7 @@ let flush_pushes sv conn =
         let _, payload = Queue.pop conn.k_pushq in
         try
           Wire.write_tagged ~label:"client" conn.k_fd ~tag:Wire.tag_push payload;
-          sv.tl.t_pushes <- sv.tl.t_pushes + 1;
-          Telemetry.incr sv.m_pushes
+          sv.tl.t_pushes <- sv.tl.t_pushes + 1
         with Wire.Closed _ ->
           conn.k_dead <- true;
           continue := false
@@ -1267,7 +1245,6 @@ let progress sv =
             if t >= p_deadline then begin
               conn.k_parked <- None;
               sv.tl.t_rejected <- sv.tl.t_rejected + 1;
-              Telemetry.incr sv.m_rejected;
               journal sv ~kind:"reject" ~detail:(msg ^ " (queue expired)") ();
               reply_rejected conn (msg ^ " (queue expired)")
             end
@@ -1276,13 +1253,7 @@ let progress sv =
             reply_err conn (Printexc.to_string e)))
     sv.conns;
   push_watches sv;
-  List.iter (flush_pushes sv) sv.conns;
-  Telemetry.set sv.m_live
-    (Hashtbl.fold
-       (fun _ s acc -> match s.s_body with Live _ -> acc + 1 | Evicted _ -> acc)
-       sv.sessions 0);
-  Telemetry.set sv.m_groups (List.length sv.groups);
-  Telemetry.set sv.m_subs (subscription_count sv)
+  List.iter (flush_pushes sv) sv.conns
 
 (* The select timeout: tight when a parked deadline approaches or a
    subscriber still has queued pushes, lazy otherwise. *)
@@ -1369,6 +1340,29 @@ let resurrect sv =
         | exception Bundle.Bundle_error _ -> ())
       (Bundle.session_list ~dir)
 
+(* Exports the tallies under their [service.*] metric names, and the
+   three gauges as reads at export time; a disabled sink registers
+   nothing. *)
+let register_metrics sv =
+  let tel = sv.cfg.telemetry in
+  List.iter
+    (fun (name, read) -> Telemetry.counter_of tel name (fun () -> read sv.tl))
+    [
+      ("service.sessions.created", fun tl -> tl.t_created);
+      ("service.sessions.rejected", fun tl -> tl.t_rejected);
+      ("service.sessions.evicted", fun tl -> tl.t_evicted);
+      ("service.sessions.resumed", fun tl -> tl.t_resumed);
+      ("service.sessions.killed", fun tl -> tl.t_killed);
+      ("service.pack.attached", fun tl -> tl.t_packed);
+      ("service.pack.detached", fun tl -> tl.t_detached);
+      ("service.cycles", fun tl -> tl.t_cycles);
+      ("service.sub.pushed", fun tl -> tl.t_pushes);
+      ("service.sub.dropped", fun tl -> tl.t_push_dropped);
+    ];
+  Telemetry.gauge_of tel "service.sessions.live" (fun () -> fst (session_counts sv));
+  Telemetry.gauge_of tel "service.groups" (fun () -> List.length sv.groups);
+  Telemetry.gauge_of tel "service.subscriptions" (fun () -> subscription_count sv)
+
 let run cfg =
   if Sys.unix then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sv =
@@ -1383,7 +1377,7 @@ let run cfg =
       next_wid = 1;
       touch_clock = 0;
       running = true;
-      started = now ();
+      started = Telemetry.Clock.now_ns ();
       ev_ring = Array.make ev_ring_len None;
       ev_seq = 0;
       dropped_by = Hashtbl.create 7;
@@ -1403,21 +1397,9 @@ let run cfg =
           t_pushes = 0;
           t_push_dropped = 0;
         };
-      m_created = Telemetry.counter cfg.telemetry "service.sessions.created";
-      m_rejected = Telemetry.counter cfg.telemetry "service.sessions.rejected";
-      m_evicted = Telemetry.counter cfg.telemetry "service.sessions.evicted";
-      m_resumed = Telemetry.counter cfg.telemetry "service.sessions.resumed";
-      m_killed = Telemetry.counter cfg.telemetry "service.sessions.killed";
-      m_packed = Telemetry.counter cfg.telemetry "service.pack.attached";
-      m_detached = Telemetry.counter cfg.telemetry "service.pack.detached";
-      m_cycles = Telemetry.counter cfg.telemetry "service.cycles";
-      m_pushes = Telemetry.counter cfg.telemetry "service.sub.pushed";
-      m_push_dropped = Telemetry.counter cfg.telemetry "service.sub.dropped";
-      m_live = Telemetry.gauge cfg.telemetry "service.sessions.live";
-      m_groups = Telemetry.gauge cfg.telemetry "service.groups";
-      m_subs = Telemetry.gauge cfg.telemetry "service.subscriptions";
     }
   in
+  register_metrics sv;
   resurrect sv;
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());

@@ -27,14 +27,14 @@ type track = {
 type t = {
   tc_mu : Mutex.t;
   mutable tc_tracks : track list;  (* registration order, reversed *)
-  tc_t0 : float;  (** wall-clock origin of all timestamps *)
+  tc_t0 : int;  (** {!Clock} origin of all timestamps *)
 }
 
-let create () = { tc_mu = Mutex.create (); tc_tracks = []; tc_t0 = Unix.gettimeofday () }
+let create () = { tc_mu = Mutex.create (); tc_tracks = []; tc_t0 = Clock.now_ns () }
 
-(** Microseconds since the collector was created — the [ts] domain of
-    every event. *)
-let now_us t = (Unix.gettimeofday () -. t.tc_t0) *. 1e6
+(** A {!Clock.now_ns} stamp as microseconds since the collector was
+    created — the [ts] domain of every event. *)
+let ts t ns = float_of_int (ns - t.tc_t0) /. 1e3
 
 (** Finds or registers the (pid, tid) track.  Get-or-create, so a
     partition's domain can be respawned (barrier-stepped runs) and keep

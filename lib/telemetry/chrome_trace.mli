@@ -24,8 +24,9 @@ type t
 
 val create : unit -> t
 
-(** Microseconds since {!create} — the [ts] domain of every event. *)
-val now_us : t -> float
+(** A {!Clock.now_ns} stamp as microseconds since {!create} — the [ts]
+    domain of every event. *)
+val ts : t -> int -> float
 
 (** Finds or registers the (pid, tid) track (get-or-create, so
     barrier-stepped runs that respawn domains keep one track per

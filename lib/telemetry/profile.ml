@@ -1,78 +1,75 @@
-(* Hot-path profiling sink: attributes wall time and retired work at
-   three granularities — engine (per-opcode-class instruction counts,
-   per-cone eval time), scheduler (run / token-exchange / spin / park /
-   barrier per partition), and network (per-channel enqueue/dequeue
-   cost, remote wire cost) — and folds the static per-cone weights into
-   a partition load model.
+(* Hot-path profiling sink: attributes time and retired work at three
+   granularities — engine (per-opcode-class instruction counts, pass
+   time), scheduler (run / token-exchange / spin / park / barrier per
+   partition) and network (per-channel token counts, remote wire cost)
+   — and folds the static per-cone weights into a partition load model.
 
-   The disabled path follows the [Telemetry.null] discipline: every
-   recorder carries its own [on] flag captured at registration, so a
-   disabled profile costs exactly one predictable branch per record
-   call and never allocates.  Registration happens at build time (sim
-   creation, network construction), never in the per-cycle loop. *)
+   Recorders are plain records with one writer each (the domain that
+   owns the engine, partition, channel end or connection), so recording
+   is a field update: no atomics, no allocation, no flag test.  The
+   disabled discipline lives at the call sites, which pick their
+   recording variant once at build time and make no call here at all
+   when every sink is off.  A recorder minted from {!null} is never
+   exported, so the metrics sink can still share it: one record per
+   event, live when either sink is.  Registration happens at build time
+   (sim creation, network construction), never in the per-cycle loop. *)
 
 type engine = {
-  e_on : bool;
   e_label : string;
   e_kind : string;
   e_lanes : int;
   e_comb_hist : (string * int) list;  (* opcode class -> instrs per comb pass *)
   e_seq_hist : (string * int) list;   (* opcode class -> instrs per seq step *)
-  e_comb_passes : int Atomic.t;
-  e_comb_ns : int Atomic.t;
-  e_seq_passes : int Atomic.t;
-  e_seq_ns : int Atomic.t;
+  mutable e_comb_passes : int;
+  mutable e_comb_ns : int;
+  mutable e_seq_passes : int;
+  mutable e_seq_ns : int;
 }
 
 type cone = {
-  cn_on : bool;
   cn_label : string;  (* owning unit/partition *)
   cn_name : string;   (* root signal(s) of the cone *)
   cn_instrs : int;    (* static work per eval *)
   cn_hist : (string * int) list;
-  cn_evals : int Atomic.t;
-  cn_ns : int Atomic.t;
+  mutable cn_evals : int;
+  mutable cn_ns : int;
 }
 
 type part = {
-  pp_on : bool;
   pp_name : string;
   pp_index : int;
-  pp_cycles : int Atomic.t;
-  pp_run_ns : int Atomic.t;      (* active sweeps, token exchange included *)
-  pp_exchange_ns : int Atomic.t; (* enq+deq slice of run, carved out at export *)
-  pp_spins : int Atomic.t;
-  pp_spin_ns : int Atomic.t;
-  pp_parks : int Atomic.t;
-  pp_park_ns : int Atomic.t;
-  pp_barrier_ns : int Atomic.t;
+  mutable pp_cycles : int;
+  mutable pp_run_ns : int;      (* productive sweeps, token exchange included *)
+  mutable pp_exchange_ns : int; (* sweep time outside engine passes, carved out at export *)
+  mutable pp_spins : int;
+  mutable pp_spin_ns : int;
+  mutable pp_parks : int;
+  mutable pp_park_ns : int;
+  mutable pp_barrier_ns : int;
 }
 
 type chan = {
-  ch_on : bool;
   ch_part : string;  (* consuming partition: the channel's home *)
   ch_name : string;
-  ch_enqs : int Atomic.t;
-  ch_enq_tokens : int Atomic.t;
-  ch_enq_ns : int Atomic.t;
-  ch_deqs : int Atomic.t;
-  ch_deq_tokens : int Atomic.t;
-  ch_deq_ns : int Atomic.t;
-  ch_max_batch : int Atomic.t;
+  mutable ch_enqs : int;
+  mutable ch_enq_tokens : int;
+  mutable ch_enq_ns : int;
+  mutable ch_deqs : int;
+  mutable ch_deq_tokens : int;
+  mutable ch_deq_ns : int;
 }
 
 type wire = {
-  wr_on : bool;
   wr_label : string;
-  wr_round_trips : int Atomic.t;
-  wr_bytes_out : int Atomic.t;
-  wr_bytes_in : int Atomic.t;
-  wr_ns : int Atomic.t;
+  mutable wr_round_trips : int;
+  mutable wr_bytes_out : int;
+  mutable wr_bytes_in : int;
+  mutable wr_ns : int;
 }
 
 type t = {
   enabled : bool;
-  t0 : float;
+  t0 : int;
   mu : Mutex.t;
   mutable engines : engine list;  (* all registries newest-first *)
   mutable cones : cone list;
@@ -81,7 +78,7 @@ type t = {
   mutable wires : wire list;
   mutable slices : (string * Json.t) list;  (* remote workers' profiles *)
   mutable wall_ns : int option;
-  acc_wall : int Atomic.t;
+  mutable acc_wall : int;
       (* scheduler-accumulated parallel-section wall time; the export
          denominator when no explicit wall was pinned *)
 }
@@ -89,7 +86,7 @@ type t = {
 let make ~enabled =
   {
     enabled;
-    t0 = Unix.gettimeofday ();
+    t0 = Clock.now_ns ();
     mu = Mutex.create ();
     engines = [];
     cones = [];
@@ -98,23 +95,15 @@ let make ~enabled =
     wires = [];
     slices = [];
     wall_ns = None;
-    acc_wall = Atomic.make 0;
+    acc_wall = 0;
   }
 
 let null = make ~enabled:false
 let create () = make ~enabled:true
 let enabled t = t.enabled
 
-(* Monotonic-enough nanosecond clock relative to the profile's birth.
-   gettimeofday keeps the disabled/enabled code identical to the rest
-   of the telemetry layer (same syscall, same resolution). *)
-let now_ns t =
-  if t.enabled then int_of_float ((Unix.gettimeofday () -. t.t0) *. 1e9) else 0
-
 let set_wall_ns t ns = if t.enabled then t.wall_ns <- Some ns
-
-let add_wall_ns t ns =
-  if t.enabled then ignore (Atomic.fetch_and_add t.acc_wall ns)
+let add_wall_ns t ns = if t.enabled then t.acc_wall <- t.acc_wall + ns
 
 let locked t f =
   Mutex.lock t.mu;
@@ -125,16 +114,15 @@ let locked t f =
 let engine t ~label ~kind ~lanes ~comb_hist ~seq_hist =
   let e =
     {
-      e_on = t.enabled;
       e_label = label;
       e_kind = kind;
       e_lanes = lanes;
       e_comb_hist = comb_hist;
       e_seq_hist = seq_hist;
-      e_comb_passes = Atomic.make 0;
-      e_comb_ns = Atomic.make 0;
-      e_seq_passes = Atomic.make 0;
-      e_seq_ns = Atomic.make 0;
+      e_comb_passes = 0;
+      e_comb_ns = 0;
+      e_seq_passes = 0;
+      e_seq_ns = 0;
     }
   in
   if t.enabled then locked t (fun () -> t.engines <- e :: t.engines);
@@ -142,15 +130,7 @@ let engine t ~label ~kind ~lanes ~comb_hist ~seq_hist =
 
 let cone t ~label ~name ~instrs ~hist =
   let c =
-    {
-      cn_on = t.enabled;
-      cn_label = label;
-      cn_name = name;
-      cn_instrs = instrs;
-      cn_hist = hist;
-      cn_evals = Atomic.make 0;
-      cn_ns = Atomic.make 0;
-    }
+    { cn_label = label; cn_name = name; cn_instrs = instrs; cn_hist = hist; cn_evals = 0; cn_ns = 0 }
   in
   if t.enabled then locked t (fun () -> t.cones <- c :: t.cones);
   c
@@ -158,17 +138,16 @@ let cone t ~label ~name ~instrs ~hist =
 let part t ~name ~index =
   let fresh () =
     {
-      pp_on = t.enabled;
       pp_name = name;
       pp_index = index;
-      pp_cycles = Atomic.make 0;
-      pp_run_ns = Atomic.make 0;
-      pp_exchange_ns = Atomic.make 0;
-      pp_spins = Atomic.make 0;
-      pp_spin_ns = Atomic.make 0;
-      pp_parks = Atomic.make 0;
-      pp_park_ns = Atomic.make 0;
-      pp_barrier_ns = Atomic.make 0;
+      pp_cycles = 0;
+      pp_run_ns = 0;
+      pp_exchange_ns = 0;
+      pp_spins = 0;
+      pp_spin_ns = 0;
+      pp_parks = 0;
+      pp_park_ns = 0;
+      pp_barrier_ns = 0;
     }
   in
   if not t.enabled then fresh ()
@@ -184,116 +163,91 @@ let part t ~name ~index =
 let channel t ~part ~name =
   let c =
     {
-      ch_on = t.enabled;
       ch_part = part;
       ch_name = name;
-      ch_enqs = Atomic.make 0;
-      ch_enq_tokens = Atomic.make 0;
-      ch_enq_ns = Atomic.make 0;
-      ch_deqs = Atomic.make 0;
-      ch_deq_tokens = Atomic.make 0;
-      ch_deq_ns = Atomic.make 0;
-      ch_max_batch = Atomic.make 0;
+      ch_enqs = 0;
+      ch_enq_tokens = 0;
+      ch_enq_ns = 0;
+      ch_deqs = 0;
+      ch_deq_tokens = 0;
+      ch_deq_ns = 0;
     }
   in
   if t.enabled then locked t (fun () -> t.chans <- c :: t.chans);
   c
 
 let wire t ~label =
-  let w =
-    {
-      wr_on = t.enabled;
-      wr_label = label;
-      wr_round_trips = Atomic.make 0;
-      wr_bytes_out = Atomic.make 0;
-      wr_bytes_in = Atomic.make 0;
-      wr_ns = Atomic.make 0;
-    }
-  in
+  let w = { wr_label = label; wr_round_trips = 0; wr_bytes_out = 0; wr_bytes_in = 0; wr_ns = 0 } in
   if t.enabled then locked t (fun () -> t.wires <- w :: t.wires);
   w
 
 let add_slice t ~label json =
   if t.enabled then locked t (fun () -> t.slices <- (label, json) :: t.slices)
 
-(* -- recording (hot; one branch when disabled) --------------------- *)
+(* -- recording (hot; one writer per recorder) ---------------------- *)
 
-let bump a n = ignore (Atomic.fetch_and_add a n)
-
-let engine_enabled e = e.e_on
 let add_comb e ns =
-  if e.e_on then begin
-    bump e.e_comb_passes 1;
-    bump e.e_comb_ns ns
-  end
+  e.e_comb_passes <- e.e_comb_passes + 1;
+  e.e_comb_ns <- e.e_comb_ns + ns
 
 let add_seq e ns =
-  if e.e_on then begin
-    bump e.e_seq_passes 1;
-    bump e.e_seq_ns ns
-  end
+  e.e_seq_passes <- e.e_seq_passes + 1;
+  e.e_seq_ns <- e.e_seq_ns + ns
 
-let cone_enabled c = c.cn_on
 let add_cone_eval c ns =
-  if c.cn_on then begin
-    bump c.cn_evals 1;
-    bump c.cn_ns ns
-  end
+  c.cn_evals <- c.cn_evals + 1;
+  c.cn_ns <- c.cn_ns + ns
 
-let part_enabled p = p.pp_on
-let add_run p ns = if p.pp_on then bump p.pp_run_ns ns
-let add_exchange p ns = if p.pp_on then bump p.pp_exchange_ns ns
+let add_run p ns = p.pp_run_ns <- p.pp_run_ns + ns
+let add_exchange p ns = p.pp_exchange_ns <- p.pp_exchange_ns + ns
+
 let add_spin p ns =
-  if p.pp_on then begin
-    bump p.pp_spins 1;
-    bump p.pp_spin_ns ns
-  end
+  p.pp_spins <- p.pp_spins + 1;
+  p.pp_spin_ns <- p.pp_spin_ns + ns
+
+let add_spin_ns p ns = p.pp_spin_ns <- p.pp_spin_ns + ns
 
 let add_park p ns =
-  if p.pp_on then begin
-    bump p.pp_parks 1;
-    bump p.pp_park_ns ns
-  end
+  p.pp_parks <- p.pp_parks + 1;
+  p.pp_park_ns <- p.pp_park_ns + ns
 
-let add_barrier p ns = if p.pp_on then bump p.pp_barrier_ns ns
-let add_cycles p n = if p.pp_on then bump p.pp_cycles n
-
-let chan_enabled c = c.ch_on
-
-let max_to a n =
-  let rec go () =
-    let cur = Atomic.get a in
-    if n > cur && not (Atomic.compare_and_set a cur n) then go ()
-  in
-  go ()
+let add_barrier p ns = p.pp_barrier_ns <- p.pp_barrier_ns + ns
+let add_cycles p n = p.pp_cycles <- p.pp_cycles + n
 
 let add_enq c ~tokens ns =
-  if c.ch_on then begin
-    bump c.ch_enqs 1;
-    bump c.ch_enq_tokens tokens;
-    bump c.ch_enq_ns ns;
-    max_to c.ch_max_batch tokens
-  end
+  c.ch_enqs <- c.ch_enqs + 1;
+  c.ch_enq_tokens <- c.ch_enq_tokens + tokens;
+  c.ch_enq_ns <- c.ch_enq_ns + ns
 
 let add_deq c ~tokens ns =
-  if c.ch_on then begin
-    bump c.ch_deqs 1;
-    bump c.ch_deq_tokens tokens;
-    bump c.ch_deq_ns ns;
-    max_to c.ch_max_batch tokens
-  end
+  c.ch_deqs <- c.ch_deqs + 1;
+  c.ch_deq_tokens <- c.ch_deq_tokens + tokens;
+  c.ch_deq_ns <- c.ch_deq_ns + ns
+
+let add_bytes w ~bytes_out ~bytes_in =
+  w.wr_bytes_out <- w.wr_bytes_out + bytes_out;
+  w.wr_bytes_in <- w.wr_bytes_in + bytes_in
 
 let add_wire w ~bytes_out ~bytes_in ns =
-  if w.wr_on then begin
-    bump w.wr_round_trips 1;
-    bump w.wr_bytes_out bytes_out;
-    bump w.wr_bytes_in bytes_in;
-    bump w.wr_ns ns
-  end
+  w.wr_round_trips <- w.wr_round_trips + 1;
+  add_bytes w ~bytes_out ~bytes_in;
+  w.wr_ns <- w.wr_ns + ns
+
+(* -- reads shared with the metrics sink ---------------------------- *)
+
+let run_ns p = p.pp_run_ns
+let spins p = p.pp_spins
+let parks p = p.pp_parks
+let park_ns p = p.pp_park_ns
+let barrier_ns p = p.pp_barrier_ns
+let enq_tokens c = c.ch_enq_tokens
+let deq_tokens c = c.ch_deq_tokens
+let bytes_out w = w.wr_bytes_out
+let bytes_in w = w.wr_bytes_in
 
 (* -- export -------------------------------------------------------- *)
 
-let hist_json h = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) h)
+let ints kv = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kv)
 let hist_total h = List.fold_left (fun a (_, v) -> a + v) 0 h
 let scale_hist h k = List.map (fun (c, v) -> (c, v * k)) h
 
@@ -316,14 +270,14 @@ let engine_json e =
       ("label", Json.String e.e_label);
       ("engine", Json.String e.e_kind);
       ("lanes", Json.Int e.e_lanes);
-      ("comb_passes", Json.Int (Atomic.get e.e_comb_passes));
-      ("comb_ns", Json.Int (Atomic.get e.e_comb_ns));
-      ("seq_passes", Json.Int (Atomic.get e.e_seq_passes));
-      ("seq_ns", Json.Int (Atomic.get e.e_seq_ns));
+      ("comb_passes", Json.Int e.e_comb_passes);
+      ("comb_ns", Json.Int e.e_comb_ns);
+      ("seq_passes", Json.Int e.e_seq_passes);
+      ("seq_ns", Json.Int e.e_seq_ns);
       ("comb_instrs_per_pass", Json.Int (hist_total e.e_comb_hist));
       ("seq_instrs_per_pass", Json.Int (hist_total e.e_seq_hist));
-      ("comb_classes", hist_json e.e_comb_hist);
-      ("seq_classes", hist_json e.e_seq_hist);
+      ("comb_classes", ints e.e_comb_hist);
+      ("seq_classes", ints e.e_seq_hist);
     ]
 
 let cone_json c =
@@ -332,21 +286,16 @@ let cone_json c =
       ("part", Json.String c.cn_label);
       ("name", Json.String c.cn_name);
       ("instrs", Json.Int c.cn_instrs);
-      ("evals", Json.Int (Atomic.get c.cn_evals));
-      ("ns", Json.Int (Atomic.get c.cn_ns));
-      ("classes", hist_json c.cn_hist);
+      ("evals", Json.Int c.cn_evals);
+      ("ns", Json.Int c.cn_ns);
+      ("classes", ints c.cn_hist);
     ]
 
+(* Exchange happens inside run; carve it out so the five components
+   partition the partition's time. *)
 let part_totals p =
-  let run = Atomic.get p.pp_run_ns and ex = Atomic.get p.pp_exchange_ns in
-  (* Exchange happens inside run segments; carve it out so the four
-     components partition the active time. *)
-  let run = max 0 (run - ex) in
-  ( run,
-    ex,
-    Atomic.get p.pp_spin_ns,
-    Atomic.get p.pp_park_ns,
-    Atomic.get p.pp_barrier_ns )
+  let ex = p.pp_exchange_ns in
+  (max 0 (p.pp_run_ns - ex), ex, p.pp_spin_ns, p.pp_park_ns, p.pp_barrier_ns)
 
 let part_json p =
   let run, ex, spin, park, barrier = part_totals p in
@@ -354,41 +303,38 @@ let part_json p =
     [
       ("name", Json.String p.pp_name);
       ("index", Json.Int p.pp_index);
-      ("cycles", Json.Int (Atomic.get p.pp_cycles));
+      ("cycles", Json.Int p.pp_cycles);
       ("run_ns", Json.Int run);
       ("exchange_ns", Json.Int ex);
       ("spin_ns", Json.Int spin);
       ("park_ns", Json.Int park);
       ("barrier_ns", Json.Int barrier);
       ("total_ns", Json.Int (run + ex + spin + park + barrier));
-      ("spins", Json.Int (Atomic.get p.pp_spins));
-      ("parks", Json.Int (Atomic.get p.pp_parks));
+      ("spins", Json.Int p.pp_spins);
+      ("parks", Json.Int p.pp_parks);
     ]
-
-let chan_total_ns c = Atomic.get c.ch_enq_ns + Atomic.get c.ch_deq_ns
 
 let chan_json c =
   Json.Obj
     [
       ("part", Json.String c.ch_part);
       ("name", Json.String c.ch_name);
-      ("enqs", Json.Int (Atomic.get c.ch_enqs));
-      ("enq_tokens", Json.Int (Atomic.get c.ch_enq_tokens));
-      ("enq_ns", Json.Int (Atomic.get c.ch_enq_ns));
-      ("deqs", Json.Int (Atomic.get c.ch_deqs));
-      ("deq_tokens", Json.Int (Atomic.get c.ch_deq_tokens));
-      ("deq_ns", Json.Int (Atomic.get c.ch_deq_ns));
-      ("max_batch", Json.Int (Atomic.get c.ch_max_batch));
+      ("enqs", Json.Int c.ch_enqs);
+      ("enq_tokens", Json.Int c.ch_enq_tokens);
+      ("enq_ns", Json.Int c.ch_enq_ns);
+      ("deqs", Json.Int c.ch_deqs);
+      ("deq_tokens", Json.Int c.ch_deq_tokens);
+      ("deq_ns", Json.Int c.ch_deq_ns);
     ]
 
 let wire_json w =
   Json.Obj
     [
       ("label", Json.String w.wr_label);
-      ("round_trips", Json.Int (Atomic.get w.wr_round_trips));
-      ("bytes_out", Json.Int (Atomic.get w.wr_bytes_out));
-      ("bytes_in", Json.Int (Atomic.get w.wr_bytes_in));
-      ("ns", Json.Int (Atomic.get w.wr_ns));
+      ("round_trips", Json.Int w.wr_round_trips);
+      ("bytes_out", Json.Int w.wr_bytes_out);
+      ("bytes_in", Json.Int w.wr_bytes_in);
+      ("ns", Json.Int w.wr_ns);
     ]
 
 (* Retired-instruction totals: the bytecode programs are straight-line
@@ -400,15 +346,12 @@ let retired_classes t =
       (fun e ->
         merge_hists
           [
-            scale_hist e.e_comb_hist (Atomic.get e.e_comb_passes * e.e_lanes);
-            scale_hist e.e_seq_hist (Atomic.get e.e_seq_passes * e.e_lanes);
+            scale_hist e.e_comb_hist (e.e_comb_passes * e.e_lanes);
+            scale_hist e.e_seq_hist (e.e_seq_passes * e.e_lanes);
           ])
       t.engines
   in
-  let per_cone =
-    List.map (fun c -> scale_hist c.cn_hist (Atomic.get c.cn_evals)) t.cones
-  in
-  merge_hists (per_engine @ per_cone)
+  merge_hists (per_engine @ List.map (fun c -> scale_hist c.cn_hist c.cn_evals) t.cones)
 
 (* -- partition load model ------------------------------------------ *)
 
@@ -438,8 +381,8 @@ let imbalance xs =
 (* One load-model row per label seen on engines/cones/partitions.
    Predicted weight: static instructions retired per target cycle (one
    comb pass + one seq step + one eval of every registered cone).
-   Measured weight: the partition's active ns when the scheduler
-   recorded it, else the unit's summed engine+cone ns. *)
+   Measured weight: the partition's active ns when a scheduler
+   recorded it, else the unit's summed engine and cone ns. *)
 let load_model t =
   let labels = ref [] in
   let remember l = if not (List.mem l !labels) then labels := l :: !labels in
@@ -447,25 +390,18 @@ let load_model t =
   List.iter (fun e -> remember e.e_label) t.engines;
   List.iter (fun c -> remember c.cn_label) t.cones;
   let labels = List.rev !labels in
+  let sum_engines l f =
+    List.fold_left (fun a e -> if e.e_label = l then a + f e else a) 0 t.engines
+  in
+  let sum_cones l f =
+    List.fold_left (fun a c -> if c.cn_label = l then a + f c else a) 0 t.cones
+  in
   let predicted_of l =
-    List.fold_left
-      (fun a e ->
-        if e.e_label = l then a + hist_total e.e_comb_hist + hist_total e.e_seq_hist
-        else a)
-      0 t.engines
-    + List.fold_left
-        (fun a c -> if c.cn_label = l then a + c.cn_instrs else a)
-        0 t.cones
+    sum_engines l (fun e -> hist_total e.e_comb_hist + hist_total e.e_seq_hist)
+    + sum_cones l (fun c -> c.cn_instrs)
   in
   let engine_cone_ns l =
-    List.fold_left
-      (fun a e ->
-        if e.e_label = l then a + Atomic.get e.e_comb_ns + Atomic.get e.e_seq_ns
-        else a)
-      0 t.engines
-    + List.fold_left
-        (fun a c -> if c.cn_label = l then a + Atomic.get c.cn_ns else a)
-        0 t.cones
+    sum_engines l (fun e -> e.e_comb_ns + e.e_seq_ns) + sum_cones l (fun c -> c.cn_ns)
   in
   let measured_of l =
     match List.find_opt (fun p -> p.pp_name = l) t.parts with
@@ -507,20 +443,14 @@ let load_weights t =
       (r.m_name, if any_measured then r.m_measured_ns else r.m_predicted))
     rows
 
-let top_k k cmp xs =
-  let sorted = List.stable_sort cmp xs in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  take k sorted
+(* The k largest of [xs] by [weight], ties in registration order. *)
+let top_k ?(k = 10) weight xs =
+  List.stable_sort (fun a b -> compare (weight b) (weight a)) xs
+  |> List.filteri (fun i _ -> i < k)
 
-let top_cones ?(k = 10) t =
-  top_k k (fun a b -> compare (Atomic.get b.cn_ns) (Atomic.get a.cn_ns)) t.cones
-
-let top_channels ?(k = 10) t =
-  top_k k (fun a b -> compare (chan_total_ns b) (chan_total_ns a)) t.chans
+(* Cone evals are counted, not timed: rank cones by retired work. *)
+let cone_work c = c.cn_instrs * c.cn_evals
+let chan_tokens c = c.ch_enq_tokens + c.ch_deq_tokens
 
 let load_model_json t =
   let rows, pred_imb, meas_imb = load_model t in
@@ -550,9 +480,10 @@ let load_model_json t =
                    ("part", Json.String c.cn_label);
                    ("name", Json.String c.cn_name);
                    ("instrs", Json.Int c.cn_instrs);
-                   ("ns", Json.Int (Atomic.get c.cn_ns));
+                   ("evals", Json.Int c.cn_evals);
+                   ("ns", Json.Int c.cn_ns);
                  ])
-             (top_cones t)) );
+             (top_k cone_work t.cones)) );
       ( "top_channels",
         Json.List
           (List.map
@@ -561,11 +492,10 @@ let load_model_json t =
                  [
                    ("part", Json.String c.ch_part);
                    ("name", Json.String c.ch_name);
-                   ("ns", Json.Int (chan_total_ns c));
-                   ("tokens",
-                    Json.Int (Atomic.get c.ch_enq_tokens + Atomic.get c.ch_deq_tokens));
+                   ("ns", Json.Int (c.ch_enq_ns + c.ch_deq_ns));
+                   ("tokens", Json.Int (chan_tokens c));
                  ])
-             (top_channels t)) );
+             (top_k chan_tokens t.chans)) );
     ]
 
 (* Export denominator: an explicitly pinned wall wins; otherwise the
@@ -574,9 +504,7 @@ let load_model_json t =
 let wall t =
   match t.wall_ns with
   | Some w -> w
-  | None ->
-    let acc = Atomic.get t.acc_wall in
-    if acc > 0 then acc else now_ns t
+  | None -> if t.acc_wall > 0 then t.acc_wall else Clock.now_ns () - t.t0
 
 let to_json t =
   locked t (fun () ->
@@ -585,13 +513,12 @@ let to_json t =
           ("schema", Json.String "fireaxe-profile-1");
           ("wall_ns", Json.Int (wall t));
           ("engines", Json.List (List.rev_map engine_json t.engines));
-          ("opcode_classes", hist_json (retired_classes t));
+          ("opcode_classes", ints (retired_classes t));
           ("cones", Json.List (List.rev_map cone_json t.cones));
           ("partitions", Json.List (List.rev_map part_json t.parts));
           ("channels", Json.List (List.rev_map chan_json t.chans));
           ("wires", Json.List (List.rev_map wire_json t.wires));
-          ( "remote_slices",
-            Json.Obj (List.rev_map (fun (l, j) -> (l, j)) t.slices) );
+          ("remote_slices", Json.Obj (List.rev t.slices));
           ("load_model", load_model_json t);
         ])
 
@@ -600,7 +527,7 @@ let slice_string t = Json.to_string (to_json t)
 
 let write t ~path =
   let oc = open_out path in
-  output_string oc (Json.to_string (to_json t));
+  output_string oc (slice_string t);
   output_char oc '\n';
   close_out oc
 
@@ -610,50 +537,42 @@ let pct f = f *. 100.
 
 let report_string t =
   let b = Buffer.create 1024 in
+  let line fmt = Printf.bprintf b fmt in
   let rows, pred_imb, meas_imb = locked t (fun () -> load_model t) in
-  Buffer.add_string b "partition load model (predicted = static instrs/cycle):\n";
+  line "partition load model (predicted = static instrs/cycle):\n";
   List.iter
     (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "  %-24s predicted %8d (%5.1f%%)   measured %10d ns (%5.1f%%)\n"
-           r.m_name r.m_predicted (pct r.m_predicted_share) r.m_measured_ns
-           (pct r.m_measured_share)))
+      line "  %-24s predicted %8d (%5.1f%%)   measured %10d ns (%5.1f%%)\n" r.m_name
+        r.m_predicted (pct r.m_predicted_share) r.m_measured_ns (pct r.m_measured_share))
     rows;
-  Buffer.add_string b
-    (Printf.sprintf "  imbalance (max/mean): predicted %.2f, measured %.2f\n" pred_imb
-       meas_imb);
-  let parts = locked t (fun () -> List.rev t.parts) in
+  line "  imbalance (max/mean): predicted %.2f, measured %.2f\n" pred_imb meas_imb;
+  let parts, cones, chans =
+    locked t (fun () -> (List.rev t.parts, top_k cone_work t.cones, top_k chan_tokens t.chans))
+  in
   if parts <> [] then begin
-    Buffer.add_string b "scheduler breakdown per partition:\n";
+    line "scheduler breakdown per partition:\n";
     List.iter
       (fun p ->
         let run, ex, spin, park, barrier = part_totals p in
-        Buffer.add_string b
-          (Printf.sprintf
-             "  %-24s run %10d ns  exchange %8d ns  spin %8d ns  park %8d ns  \
-              barrier %8d ns\n"
-             p.pp_name run ex spin park barrier))
+        line
+          "  %-24s run %10d ns  exchange %8d ns  spin %8d ns  park %8d ns  barrier %8d ns\n"
+          p.pp_name run ex spin park barrier)
       parts
   end;
-  let cones = locked t (fun () -> top_cones t) in
   if cones <> [] then begin
-    Buffer.add_string b "top cones by eval time:\n";
+    line "top cones by retired work:\n";
     List.iter
       (fun c ->
-        Buffer.add_string b
-          (Printf.sprintf "  %-24s %-20s %8d instrs  %10d ns  %8d evals\n" c.cn_label
-             c.cn_name c.cn_instrs (Atomic.get c.cn_ns) (Atomic.get c.cn_evals)))
+        line "  %-24s %-20s %8d instrs  %8d evals\n" c.cn_label c.cn_name c.cn_instrs
+          c.cn_evals)
       cones
   end;
-  let chans = locked t (fun () -> top_channels t) in
   if chans <> [] then begin
-    Buffer.add_string b "top channels by exchange time:\n";
+    line "top channels by tokens:\n";
     List.iter
       (fun c ->
-        Buffer.add_string b
-          (Printf.sprintf "  %-24s %-20s %10d ns  enq %8d  deq %8d  max batch %d\n"
-             c.ch_part c.ch_name (chan_total_ns c) (Atomic.get c.ch_enq_tokens)
-             (Atomic.get c.ch_deq_tokens) (Atomic.get c.ch_max_batch)))
+        line "  %-24s %-20s enq %8d  deq %8d\n" c.ch_part c.ch_name c.ch_enq_tokens
+          c.ch_deq_tokens)
       chans
   end;
   Buffer.contents b
@@ -661,75 +580,41 @@ let report_string t =
 (* -- flamegraph-compatible Chrome-trace view ----------------------- *)
 
 (* Synthesizes one track per partition with consecutive
-   run/exchange/spin/park/barrier phase spans, the costliest cones
-   nested inside the run span (containment on the same tid is what
-   chrome://tracing / Perfetto renders as a flame).  Engine-only
-   profiles (no scheduler) get one track per engine instead. *)
+   run/exchange/spin/park/barrier phase spans.  Engine-only profiles
+   (no scheduler) get one track per engine with its comb and seq time
+   instead. *)
 let trace_into t tc =
   let us ns = float_of_int ns /. 1e3 in
-  let parts = locked t (fun () -> List.rev t.parts) in
-  let cones_of l =
-    locked t (fun () -> List.filter (fun c -> c.cn_label = l) t.cones)
-  in
-  let emit_cones tr ~label ~ts ~budget_ns =
-    let cs =
-      List.stable_sort
-        (fun a b -> compare (Atomic.get b.cn_ns) (Atomic.get a.cn_ns))
-        (cones_of label)
-    in
+  let phases tr spans =
     ignore
       (List.fold_left
-         (fun off c ->
-           let ns = Atomic.get c.cn_ns in
-           if ns <= 0 || off + ns > budget_ns then off
+         (fun off (name, ns) ->
+           if ns <= 0 then off
            else begin
-             Chrome_trace.span tr
-               ~name:("cone " ^ c.cn_name)
-               ~args:[ ("instrs", Json.Int c.cn_instrs) ]
-               ~ts:(ts +. us off) ~dur:(us ns) ();
+             Chrome_trace.span tr ~name ~ts:(us off) ~dur:(us ns) ();
              off + ns
            end)
-         0 cs)
+         0 spans)
   in
+  let parts, engines = locked t (fun () -> (List.rev t.parts, List.rev t.engines)) in
   if parts <> [] then
     List.iter
       (fun p ->
-        let tr =
-          Chrome_trace.track tc ~pid:(p.pp_index + 1) ~tid:0
-            ~pname:("partition " ^ p.pp_name) ~name:"phases" ()
-        in
         let run, ex, spin, park, barrier = part_totals p in
-        let phases =
+        phases
+          (Chrome_trace.track tc ~pid:(p.pp_index + 1) ~tid:0
+             ~pname:("partition " ^ p.pp_name) ~name:"phases" ())
           [ ("run", run); ("exchange", ex); ("spin", spin); ("park", park);
-            ("barrier", barrier) ]
-        in
-        ignore
-          (List.fold_left
-             (fun off (name, ns) ->
-               if ns <= 0 then off
-               else begin
-                 Chrome_trace.span tr ~name ~ts:(us off) ~dur:(us ns) ();
-                 if name = "run" then
-                   emit_cones tr ~label:p.pp_name ~ts:(us off) ~budget_ns:ns;
-                 off + ns
-               end)
-             0 phases))
+            ("barrier", barrier) ])
       parts
   else
     List.iteri
       (fun i e ->
-        let tr =
-          Chrome_trace.track tc ~pid:(i + 1) ~tid:0 ~pname:("engine " ^ e.e_label)
-            ~name:"phases" ()
-        in
-        let comb = Atomic.get e.e_comb_ns and seq = Atomic.get e.e_seq_ns in
-        if comb > 0 then begin
-          Chrome_trace.span tr ~name:"comb" ~ts:0. ~dur:(us comb) ();
-          emit_cones tr ~label:e.e_label ~ts:0. ~budget_ns:comb
-        end;
-        if seq > 0 then
-          Chrome_trace.span tr ~name:"seq" ~ts:(us comb) ~dur:(us seq) ())
-      (locked t (fun () -> List.rev t.engines))
+        phases
+          (Chrome_trace.track tc ~pid:(i + 1) ~tid:0 ~pname:("engine " ^ e.e_label)
+             ~name:"phases" ())
+          [ ("comb", e.e_comb_ns); ("seq", e.e_seq_ns) ])
+      engines
 
 let write_trace t ~path =
   let tr = Chrome_trace.create () in

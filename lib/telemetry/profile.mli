@@ -1,25 +1,28 @@
 (** Hot-path profiling sink.
 
-    Attributes wall time and retired work at three granularities:
+    Attributes time and retired work at three granularities:
 
-    - {b engine}: per-opcode-class retired-instruction counts and
-      per-cone eval time.  The bytecode programs are straight-line, so
-      the static class histogram captured at registration times the
-      pass count gives exact retired counts — the hot loop only bumps a
-      pass counter and (optionally) a clock pair.
+    - {b engine}: per-opcode-class retired-instruction counts and pass
+      time.  The bytecode programs are straight-line, so the static
+      class histogram captured at registration times the pass count
+      gives exact retired counts.  Cone evals are counted, not timed.
     - {b scheduler}: per-partition run / token-exchange / spin / park /
-      barrier time per target-cycle run.
-    - {b network}: per-channel enqueue/dequeue cost and batch sizes,
-      plus remote-worker wire cost.
+      barrier time.
+    - {b network}: per-channel token counts, plus remote-worker wire
+      cost.
 
-    Recorders follow the [Telemetry.null] discipline: each carries its
-    own [on] flag captured at registration, so a disabled profile costs
-    one predictable branch per record call and never allocates. *)
+    Every duration is a difference of {!Clock} stamps.  Recorders are
+    plain single-writer records, so recording never allocates, takes a
+    lock or tests a flag; callers choose their recording variant once at
+    build time and make no call here when every sink is off.  Recorders
+    minted from {!null} are never exported, which is what lets the
+    metrics sink ({!Telemetry}) read the same record: each event is
+    recorded once, live when either sink is. *)
 
 type t
 
 (** Registered recorders.  Registration is thread-safe and build-time
-    only; recording into a recorder is lock-free (atomics). *)
+    only; each recorder has a single writer. *)
 type engine
 
 type cone
@@ -28,15 +31,11 @@ type chan
 type wire
 
 val null : t
-(** The shared disabled sink: recorders minted from it are permanently
-    off. *)
+(** The shared disabled sink: recorders minted from it are never
+    exported. *)
 
 val create : unit -> t
 val enabled : t -> bool
-
-val now_ns : t -> int
-(** Nanoseconds since the profile was created; [0] when disabled, so
-    callers can take timestamps unconditionally. *)
 
 val set_wall_ns : t -> int -> unit
 (** Pins the wall-clock denominator used by the export.  Unpinned, the
@@ -74,24 +73,42 @@ val wire : t -> label:string -> wire
 val add_slice : t -> label:string -> Json.t -> unit
 (** Attach a remote worker's shipped profile document verbatim. *)
 
-(** {1 Recording} — one branch when the recorder is disabled. *)
+(** {1 Recording} — each call counts one event and adds its ns. *)
 
-val engine_enabled : engine -> bool
 val add_comb : engine -> int -> unit
 val add_seq : engine -> int -> unit
-val cone_enabled : cone -> bool
 val add_cone_eval : cone -> int -> unit
-val part_enabled : part -> bool
 val add_run : part -> int -> unit
 val add_exchange : part -> int -> unit
 val add_spin : part -> int -> unit
+
+val add_spin_ns : part -> int -> unit
+(** Spin time with no spin event: the failed visit before a park. *)
+
 val add_park : part -> int -> unit
 val add_barrier : part -> int -> unit
 val add_cycles : part -> int -> unit
-val chan_enabled : chan -> bool
 val add_enq : chan -> tokens:int -> int -> unit
 val add_deq : chan -> tokens:int -> int -> unit
+
 val add_wire : wire -> bytes_out:int -> bytes_in:int -> int -> unit
+(** One timed request/reply round trip. *)
+
+val add_bytes : wire -> bytes_out:int -> bytes_in:int -> unit
+(** Traffic outside a timed round trip (pipelined commands, multi-line
+    replies). *)
+
+(** {1 Reads shared with the metrics sink} *)
+
+val run_ns : part -> int
+val spins : part -> int
+val parks : part -> int
+val park_ns : part -> int
+val barrier_ns : part -> int
+val enq_tokens : chan -> int
+val deq_tokens : chan -> int
+val bytes_out : wire -> int
+val bytes_in : wire -> int
 
 (** {1 Export} *)
 
@@ -116,10 +133,10 @@ val write : t -> path:string -> unit
 val report_string : t -> string
 (** Human-readable load-model report: per-partition predicted
     vs. measured weights, imbalance factors, scheduler breakdown, and
-    the top-K costliest cones and channels. *)
+    the top-K cones by retired work and channels by tokens. *)
 
 val trace_into : t -> Chrome_trace.t -> unit
-(** Renders the profile as flamegraph-style phase spans (cones nested
-    inside run) into an existing Chrome-trace collector. *)
+(** Renders the profile as flamegraph-style phase spans into an
+    existing Chrome-trace collector. *)
 
 val write_trace : t -> path:string -> unit

@@ -2,12 +2,12 @@
    histograms plus an optional Chrome-trace collector, behind one sink
    object threaded through the LI-BDN execution layers.
 
-   The disabled default ({!null}) is free on the hot path: every metric
-   handed out by a disabled registry carries [*_on = false], so the
-   recording operations reduce to a single predictable branch — no
-   allocation, no atomics, no clock reads.  Instrumentation that must
-   do extra work to *compute* a sample (queue lengths, wall-clock
-   reads) additionally guards on {!enabled}.
+   The disabled default ({!null}) registers nothing, and every metric it
+   hands out is inert.  The hot layers go further and pick their
+   recording variant once at build time, so with every sink off they
+   make no call here at all.  An event the profiler also records is
+   kept once, in its {!Profile} record: the registry exports it through
+   a view ({!counter_of}) read at export time.
 
    Counters and gauges are atomics because partitions record from their
    own domains; histograms (which mutate a [Des.Stats] sample buffer)
@@ -16,23 +16,26 @@
 
 (* Re-export the sibling modules: [Telemetry] is the library's main
    module, so these are the public names ([Telemetry.Json],
-   [Telemetry.Chrome_trace], [Telemetry.Snapshot]). *)
+   [Telemetry.Clock], ...). *)
 module Json = Json
+module Clock = Clock
 module Chrome_trace = Chrome_trace
 module Snapshot = Snapshot
 module Profile = Profile
 
-type counter = {
-  c_name : string;
-  c_on : bool;
-  c_v : int Atomic.t;
+(* Counters and gauges share one shape. *)
+type cell = {
+  name : string;
+  on : bool;
+  v : int Atomic.t;
 }
 
-type gauge = {
-  g_name : string;
-  g_on : bool;
-  g_v : int Atomic.t;
-}
+type counter = cell
+type gauge = cell
+
+(* A registered counter or gauge: a cell recorded here, or a view of a
+   record kept elsewhere, read at export. *)
+type entry = Cell of cell | View of string * (unit -> int)
 
 type hist = {
   h_name : string;
@@ -43,10 +46,9 @@ type hist = {
 
 type t = {
   enabled : bool;
-  t0 : float;
   mu : Mutex.t;  (** guards the registration lists *)
-  mutable t_counters : counter list;  (* newest first *)
-  mutable t_gauges : gauge list;
+  mutable t_counters : entry list;  (* newest first *)
+  mutable t_gauges : entry list;
   mutable t_hists : hist list;
   t_trace : Chrome_trace.t option;
   mutable t_deadlock : Snapshot.t option;
@@ -55,7 +57,6 @@ type t = {
 let make ~enabled ~trace =
   {
     enabled;
-    t0 = Unix.gettimeofday ();
     mu = Mutex.create ();
     t_counters = [];
     t_gauges = [];
@@ -74,88 +75,76 @@ let enabled t = t.enabled
 
 let trace t = t.t_trace
 
-(** Microseconds since the sink was created (the trace collector keeps
-    its own origin; use {!Chrome_trace.now_us} for event timestamps). *)
-let now_us t = (Unix.gettimeofday () -. t.t0) *. 1e6
+let locked t f =
+  Mutex.lock t.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 (* ------------------------------------------------------------------ *)
 (* Registration (get-or-create by name)                                *)
 (* ------------------------------------------------------------------ *)
 
-let counter t name =
-  if not t.enabled then { c_name = name; c_on = false; c_v = Atomic.make 0 }
-  else begin
-    Mutex.lock t.mu;
-    let c =
-      match List.find_opt (fun c -> c.c_name = name) t.t_counters with
-      | Some c -> c
-      | None ->
-        let c = { c_name = name; c_on = true; c_v = Atomic.make 0 } in
-        t.t_counters <- c :: t.t_counters;
-        c
-    in
-    Mutex.unlock t.mu;
-    c
-  end
+let entry_name = function Cell c -> c.name | View (name, _) -> name
+let entry_value = function Cell c -> Atomic.get c.v | View (_, read) -> read ()
 
-let gauge t name =
-  if not t.enabled then { g_name = name; g_on = false; g_v = Atomic.make 0 }
-  else begin
-    Mutex.lock t.mu;
-    let g =
-      match List.find_opt (fun g -> g.g_name = name) t.t_gauges with
-      | Some g -> g
-      | None ->
-        let g = { g_name = name; g_on = true; g_v = Atomic.make 0 } in
-        t.t_gauges <- g :: t.t_gauges;
-        g
-    in
-    Mutex.unlock t.mu;
-    g
-  end
+(* Finds [name] in the list [get] reads, or registers a fresh cell
+   there.  A disabled sink registers nothing. *)
+let register t get set name =
+  if not t.enabled then { name; on = false; v = Atomic.make 0 }
+  else
+    locked t (fun () ->
+        match List.find_opt (fun e -> entry_name e = name) (get t) with
+        | Some (Cell c) -> c
+        | Some (View _) -> invalid_arg ("Telemetry: " ^ name ^ " is a view")
+        | None ->
+          let c = { name; on = true; v = Atomic.make 0 } in
+          set t (Cell c :: get t);
+          c)
+
+(* Registers [read] under [name] unless the name is taken. *)
+let register_view t get set name read =
+  if t.enabled then
+    locked t (fun () ->
+        if not (List.exists (fun e -> entry_name e = name) (get t)) then
+          set t (View (name, read) :: get t))
+
+let counter t name = register t (fun t -> t.t_counters) (fun t l -> t.t_counters <- l) name
+let gauge t name = register t (fun t -> t.t_gauges) (fun t l -> t.t_gauges <- l) name
+let counter_of t = register_view t (fun t -> t.t_counters) (fun t l -> t.t_counters <- l)
+let gauge_of t = register_view t (fun t -> t.t_gauges) (fun t l -> t.t_gauges <- l)
 
 let hist t name =
-  if not t.enabled then
-    { h_name = name; h_on = false; h_mu = Mutex.create (); h_stats = Des.Stats.create () }
-  else begin
-    Mutex.lock t.mu;
-    let h =
-      match List.find_opt (fun h -> h.h_name = name) t.t_hists with
-      | Some h -> h
-      | None ->
-        let h =
-          { h_name = name; h_on = true; h_mu = Mutex.create (); h_stats = Des.Stats.create () }
-        in
-        t.t_hists <- h :: t.t_hists;
-        h
-    in
-    Mutex.unlock t.mu;
-    h
-  end
+  let fresh on = { h_name = name; h_on = on; h_mu = Mutex.create (); h_stats = Des.Stats.create () } in
+  if not t.enabled then fresh false
+  else
+    locked t (fun () ->
+        match List.find_opt (fun h -> h.h_name = name) t.t_hists with
+        | Some h -> h
+        | None ->
+          let h = fresh true in
+          t.t_hists <- h :: t.t_hists;
+          h)
 
 (* ------------------------------------------------------------------ *)
-(* Recording (hot path: one branch when disabled)                      *)
+(* Recording (one branch when disabled)                                *)
 (* ------------------------------------------------------------------ *)
 
-let incr c = if c.c_on then Atomic.incr c.c_v
+let incr c = if c.on then Atomic.incr c.v
 
-let add c n = if c.c_on then ignore (Atomic.fetch_and_add c.c_v n)
+let add c n = if c.on then ignore (Atomic.fetch_and_add c.v n)
 
-let counter_value c = Atomic.get c.c_v
+let counter_value c = Atomic.get c.v
 
-let set g v = if g.g_on then Atomic.set g.g_v v
+let set g v = if g.on then Atomic.set g.v v
 
-(* Monotone max update (concurrent recorders race toward the max). *)
-let set_max g v =
-  if g.g_on then begin
-    let rec go () =
-      let cur = Atomic.get g.g_v in
-      if v > cur && not (Atomic.compare_and_set g.g_v cur v) then go ()
-    in
-    go ()
-  end
+(* Monotone max update (concurrent recorders race toward the max); a
+   top-level loop, so no closure is allocated per sample. *)
+let rec raise_to a v =
+  let cur = Atomic.get a in
+  if v > cur && not (Atomic.compare_and_set a cur v) then raise_to a v
 
-let gauge_value g = Atomic.get g.g_v
+let set_max g v = if g.on then raise_to g.v v
+
+let gauge_value g = Atomic.get g.v
 
 let observe h v =
   if h.h_on then begin
@@ -173,16 +162,14 @@ let observe h v =
     (track pid = -1, the network-wide lane). *)
 let record_deadlock t snap =
   if t.enabled then begin
-    Mutex.lock t.mu;
-    t.t_deadlock <- Some snap;
-    Mutex.unlock t.mu;
+    locked t (fun () -> t.t_deadlock <- Some snap);
     match t.t_trace with
     | None -> ()
     | Some tc ->
       let tr = Chrome_trace.track tc ~pid:(-1) ~tid:0 ~pname:"network" ~name:"events" () in
       Chrome_trace.instant tr ~name:"deadlock"
         ~args:[ ("snapshot", Snapshot.to_json snap) ]
-        ~ts:(Chrome_trace.now_us tc) ()
+        ~ts:(Chrome_trace.ts tc (Clock.now_ns ())) ()
   end
 
 let last_deadlock t = t.t_deadlock
@@ -191,17 +178,9 @@ let last_deadlock t = t.t_deadlock
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let counters t =
-  Mutex.lock t.mu;
-  let cs = List.rev_map (fun c -> (c.c_name, Atomic.get c.c_v)) t.t_counters in
-  Mutex.unlock t.mu;
-  cs
-
-let gauges t =
-  Mutex.lock t.mu;
-  let gs = List.rev_map (fun g -> (g.g_name, Atomic.get g.g_v)) t.t_gauges in
-  Mutex.unlock t.mu;
-  gs
+let values entries = List.rev_map (fun e -> (entry_name e, entry_value e)) entries
+let counters t = values (locked t (fun () -> t.t_counters))
+let gauges t = values (locked t (fun () -> t.t_gauges))
 
 let hist_summary h =
   Json.Obj
@@ -215,19 +194,17 @@ let hist_summary h =
     ]
 
 let hists t =
-  Mutex.lock t.mu;
-  let hs = List.rev t.t_hists in
-  Mutex.unlock t.mu;
-  List.map (fun h -> (h.h_name, hist_summary h)) hs
+  List.rev_map (fun h -> (h.h_name, hist_summary h)) (locked t (fun () -> t.t_hists))
 
 (** The whole registry as one JSON metrics snapshot. *)
 let metrics_json t =
+  let ints kv = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kv) in
   Json.Obj
     [
       ("schema", Json.String "fireaxe-metrics-1");
       ("enabled", Json.Bool t.enabled);
-      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
-      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges t)));
+      ("counters", ints (counters t));
+      ("gauges", ints (gauges t));
       ("histograms", Json.Obj (hists t));
       ( "deadlock",
         match t.t_deadlock with None -> Json.Null | Some s -> Snapshot.to_json s );

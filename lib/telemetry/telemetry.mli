@@ -4,14 +4,18 @@
     structured deadlock snapshot — exported together as one JSON
     metrics document.
 
-    The disabled default ({!null}) is free on the hot path: metrics
-    handed out by a disabled sink are inert, so recording reduces to a
-    single branch — no allocation, no atomics, no clock reads.
-    Counters and gauges are atomics (partitions record from their own
-    domains); histograms take a per-histogram mutex. *)
+    The disabled default ({!null}) registers nothing and hands out inert
+    metrics; the hot layers choose their recording variant once at build
+    time, so with every sink off they make no call here.  An event the
+    profiler records too is kept once, in its {!Profile} record, and
+    exported here through a view ({!counter_of}).  Counters and gauges
+    are atomics (partitions record from their own domains); histograms
+    take a per-histogram mutex. *)
 
 (** The sibling modules, re-exported under the library's main module. *)
 module Json = Json
+
+module Clock = Clock
 
 module Chrome_trace = Chrome_trace
 module Snapshot = Snapshot
@@ -32,15 +36,20 @@ val create : ?trace:bool -> unit -> t
 val enabled : t -> bool
 val trace : t -> Chrome_trace.t option
 
-(** Microseconds since the sink was created. *)
-val now_us : t -> float
-
 (** Get-or-create by name.  On a disabled sink these return inert
     dummies without registering anything. *)
 val counter : t -> string -> counter
 
 val gauge : t -> string -> gauge
 val hist : t -> string -> hist
+
+(** Registers a counter (gauge) whose value is [read ()] at export —
+    how an event recorded once in a {!Profile} record, or in a
+    subsystem's own tally, is exported under its metric name.  No-op on
+    a disabled sink or when [name] is already registered. *)
+val counter_of : t -> string -> (unit -> int) -> unit
+
+val gauge_of : t -> string -> (unit -> int) -> unit
 
 val incr : counter -> unit
 val add : counter -> int -> unit

@@ -338,6 +338,51 @@ let test_bqueue_concurrent_fifo () =
   check_int "queue drained" 0 (BQ.length q)
 
 (* ------------------------------------------------------------------ *)
+(* One record, two exports                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Token counts and the parallel worker's stall events are recorded once
+   and read by both sinks, so the fireaxe-profile-1 document and the
+   fireaxe-metrics-1 snapshot of one run agree exactly: each channel's
+   enq/deq tokens, and each partition's spins and parks. *)
+let test_exports_agree () =
+  let module J = Telemetry.Json in
+  let telemetry = Telemetry.create () in
+  let profile = Telemetry.Profile.create () in
+  let h =
+    Fireaxe.instantiate ~scheduler:par ~telemetry ~profile (soc_plan Fireaxe.Spec.Exact)
+  in
+  Fireaxe.Runtime.run h ~cycles:200;
+  let counters = Telemetry.counters telemetry in
+  let counter name =
+    match List.assoc_opt name counters with
+    | Some v -> v
+    | None -> Alcotest.failf "no metric %s" name
+  in
+  let doc = Telemetry.Profile.to_json profile in
+  let rows k = Option.get (Option.bind (J.member k doc) J.to_list) in
+  let str k o = Option.get (Option.bind (J.member k o) J.to_str) in
+  let int k o = Option.get (Option.bind (J.member k o) J.to_int) in
+  let chans = rows "channels" in
+  check_bool "channels profiled" true (chans <> []);
+  List.iter
+    (fun c ->
+      let metric kind = Printf.sprintf "net.%s.in.%s.%s" (str "part" c) (str "name" c) kind in
+      check_bool (metric "enq" ^ " moved tokens") true (int "enq_tokens" c > 0);
+      check_int (metric "enq") (counter (metric "enq")) (int "enq_tokens" c);
+      check_int (metric "deq") (counter (metric "deq")) (int "deq_tokens" c);
+      check_bool "no max_batch" true (J.member "max_batch" c = None))
+    chans;
+  let parts = rows "partitions" in
+  check_int "partitions profiled" 2 (List.length parts);
+  List.iter
+    (fun p ->
+      let metric kind = Printf.sprintf "sched.par.%s.%s" (str "name" p) kind in
+      check_int (metric "spins") (counter (metric "spins")) (int "spins" p);
+      check_int (metric "parks") (counter (metric "parks")) (int "parks" p))
+    parts
+
+(* ------------------------------------------------------------------ *)
 (* Naming                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -383,6 +428,7 @@ let suite =
         Alcotest.test_case "pack: degenerate domain counts" `Quick
           test_pack_degenerate;
         Alcotest.test_case "scheduler names" `Quick test_scheduler_names;
+        Alcotest.test_case "profile and metrics exports agree" `Quick test_exports_agree;
       ] );
     ( "libdn.bqueue",
       [
