@@ -20,22 +20,21 @@
    Figure-style speedup plots want.
 
    A second measurement per design forces one REAL domain per partition
-   ([Libdn.Scheduler.set_host_domains]) and runs twice — once with the
-   disabled {!Telemetry.Profile.null} sink, once with a live profile —
-   so the report carries (a) a truthful per-partition
+   ([Libdn.Scheduler.set_host_domains]) and runs twice — once with both
+   sinks null, once with a live profile and metrics sink — so the
+   report carries (a) a truthful per-partition
    run/exchange/spin/park/barrier stall breakdown (the inline
    single-core worker never parks, so it cannot produce one), and (b)
-   the profiler's enabled-vs-disabled overhead measured on the same
+   the cost of recording against no recording, measured on the same
    execution path.  A discarded warmup run on that same
    path precedes the pair, so the first measured run no longer pays the
    one-off domain-spawn and page-fault cost that used to show up as a
    spurious NEGATIVE profiler overhead. *)
 
-(* Each measurement runs with a live telemetry sink so the JSON report
-   can break wall-clock down into per-partition run/idle/barrier time
-   and per-channel stall attribution. *)
-let measure ?profile ?groups plan ~cycles scheduler =
-  let telemetry = Telemetry.create () in
+(* Measurements run with a live telemetry sink unless given one, so the
+   JSON report can break wall-clock down into per-partition
+   run/idle/barrier time and per-channel stall attribution. *)
+let measure ?profile ?groups ?(telemetry = Telemetry.create ()) plan ~cycles scheduler =
   let h =
     Fireripper.Runtime.instantiate ~scheduler ?groups ~telemetry ?profile plan
   in
@@ -132,8 +131,8 @@ let bench ~name ~cycles plan =
   let physical = Domain.recommended_domain_count () in
   Printf.printf "%-12s %d partitions, %d target cycles\n" name
     (Fireripper.Plan.n_units plan) cycles;
-  let run ?profile ~tag scheduler =
-    let secs, tokens, tel = measure ?profile plan ~cycles scheduler in
+  let run ?profile ?telemetry ~tag scheduler =
+    let secs, tokens, tel = measure ?profile ?telemetry plan ~cycles scheduler in
     Printf.printf "  %-9s %8.3f s %12.0f tokens/s %10.0f cycles/s\n" tag secs
       (float_of_int tokens /. secs)
       (float_of_int cycles /. secs);
@@ -150,21 +149,23 @@ let bench ~name ~cycles plan =
     List.map (scaling_point plan ~cycles ~seq_secs) [ 1; 2; 4; 8 ]
   in
   (* Real-domain section: force one domain per partition — even on a
-     single-core host — so the profiled and unprofiled runs take the
-     SAME execution path and their delta is the profiler's cost, not an
-     inline-vs-domains policy change.  The discarded warmup run
+     single-core host — so the recorded and unrecorded runs take the
+     SAME execution path and their delta is the cost of recording, not
+     an inline-vs-domains policy change.  The discarded warmup run
      eats the one-off spawn/fault cost first. *)
   let n_units = Fireripper.Plan.n_units plan in
   Libdn.Scheduler.set_host_domains n_units;
   ignore (measure plan ~cycles Libdn.Scheduler.Parallel);
-  let base_secs, _, _ = run ~tag:"domains" Libdn.Scheduler.Parallel in
+  let base_secs, _, _ =
+    run ~telemetry:Telemetry.null ~tag:"domains" Libdn.Scheduler.Parallel
+  in
   let profile = Telemetry.Profile.create () in
   let prof_secs, _, prof_tel =
     run ~profile ~tag:"profiled" Libdn.Scheduler.Parallel
   in
   Libdn.Scheduler.set_host_domains 0;
   let overhead_pct = 100. *. (prof_secs -. base_secs) /. base_secs in
-  Printf.printf "  profile overhead (enabled vs disabled, real domains): %.1f%%\n"
+  Printf.printf "  recording overhead (profile and metrics vs none, real domains): %.1f%%\n"
     overhead_pct;
   let sched_row secs tokens =
     Telemetry.Json.Obj

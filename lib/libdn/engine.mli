@@ -13,11 +13,11 @@ type t = {
   eval_comb : unit -> unit;
   step_seq : unit -> unit;
   pass_record : Telemetry.Profile.engine option;
-      (** The record a driver charges when it times [eval_comb] and
-          [step_seq] itself: set by {!of_sim}, whose passes are the
-          simulator's untimed ones, so the network times them on its
-          lap chain.  [None] for engines whose passes are timed where
-          they run (a remote worker, FAME-5's inner simulation). *)
+      (** The record a driver charges when it counts and times
+          [eval_comb] and [step_seq] itself: set by {!of_sim}, whose
+          passes are the simulator's untimed ones, so the network
+          records them.  [None] for engines whose passes are recorded
+          where they run (a remote worker, FAME-5's inner simulation). *)
   make_cone_eval : string list -> unit -> unit;
       (** Compiled partial evaluation of the combinational cone feeding
           the given signals. *)

@@ -72,10 +72,13 @@ type t = {
       (** cached [Telemetry.enabled tel]: gates the metrics-only samples
           (queue lengths) *)
   prof : Telemetry.Profile.t;
+  prof_on : bool;
+      (** cached [Telemetry.Profile.enabled prof]: {!sweep} counts engine
+          passes and times a sample of target cycles only then *)
   recording : bool;
-      (** either sink is live, fixed at creation: {!sweep} records
-          (counts, and laps of the domain's {!Telemetry.Clock} chain)
-          only then, and otherwise makes no call into the sinks *)
+      (** either sink is live, fixed at creation: {!sweep} counts firing
+          attempts, fires and tokens only then, and otherwise makes no
+          call into the sinks *)
   mutable on_deadlock : (Telemetry.Snapshot.t -> unit) list;
       (** observers invoked (newest last) before {!raise_deadlock}
           raises — how a flight recorder dumps post-mortem state without
@@ -100,6 +103,7 @@ let create ?(queue_capacity = default_queue_capacity) ?(telemetry = Telemetry.nu
     tel = telemetry;
     tel_on = Telemetry.enabled telemetry;
     prof = profile;
+    prof_on = Telemetry.Profile.enabled profile;
     recording = Telemetry.enabled telemetry || Telemetry.Profile.enabled profile;
     on_deadlock = [];
     groups = [||];
@@ -107,7 +111,7 @@ let create ?(queue_capacity = default_queue_capacity) ?(telemetry = Telemetry.nu
 
 let telemetry t = t.tel
 let profile t = t.prof
-let profile_enabled t = Telemetry.Profile.enabled t.prof
+let profile_enabled t = t.prof_on
 let recording t = t.recording
 
 (** Registers an observer of {!raise_deadlock}: it receives the
@@ -287,13 +291,10 @@ let groups t = t.groups
 (** Applies every partition's drive hook for the partition's current
     target cycle (0 on a fresh network).  Schedulers call this once at
     the start of each run, so a run resumed at cycle N drives cycle N,
-    not cycle 0 again.  While {!recording} it also starts the calling
-    domain's lap chain, so the run's first lap does not reach back into
-    host time before it. *)
+    not cycle 0 again. *)
 let prime t =
   freeze t;
-  Array.iter (fun p -> p.pt_drive p.pt_engine p.pt_cycle) t.frozen;
-  if t.recording then ignore (Telemetry.Clock.mark ())
+  Array.iter (fun p -> p.pt_drive p.pt_engine p.pt_cycle) t.frozen
 
 (** Captures the structured network-state snapshot every diagnostic
     derives from: per partition, the target cycle, input-queue depths,
@@ -337,35 +338,62 @@ let introspect t : Telemetry.Snapshot.t =
   in
   { Telemetry.Snapshot.parts }
 
-(* Charges one lap of the sweeping domain's clock chain to [p] as token
-   exchange: sweep time outside the engine passes. *)
+(* Sampled timing.  Timing a partition's target cycle takes three to
+   five clock reads, about 50 ns each in place: a tenth of a 10 µs
+   five-partition ring cycle.  So a live profile times one cycle in
+   [sample_every] of each partition and records each sampled duration
+   times [sample_every]: run, exchange and pass ns are estimates, every
+   count is exact.  The estimates carry the sampled cycles' own clock
+   reads, one per phase, times [sample_every].  Cycle [c] is sampled
+   when the fractional part of [c] times the golden ratio is below
+   [1 / sample_every] (Fibonacci hashing): gaps of 8, 13 and 21 cycles,
+   whose phases spread evenly over any period a design has where a
+   fixed stride would alias with it. *)
+let sample_every = 16
+
+let timed_cycle c = (c * 0x278DDE6E5FD29F05) land max_int < max_int / sample_every
+
+(* Charges [ns] of a sampled sweep to [p] as token exchange: sweep time
+   outside the engine passes. *)
 let charge_exchange p ns =
+  let ns = sample_every * ns in
   Telemetry.Profile.add_exchange p.pt_prof ns;
   Telemetry.Profile.add_run p.pt_prof ns
 
-(* One target-cycle step of [p]'s engine.  Recording, the step closes
-   three laps: everything the sweep did before it (firing rules, cone
-   evals, token packing, queue operations) as exchange, then the comb
-   and the seq pass as run, also charged to the engine's own record
-   when its passes are the simulator's untimed ones. *)
-let step_engine t p =
+(* One target-cycle step of [p]'s engine.  Under a live profile it
+   counts the cycle and a local engine's passes (on the engine's own
+   record, since its passes are the simulator's untimed ones).  In a
+   sampled cycle ([t0], the sweep's start stamp, is non-zero) it also
+   charges everything the sweep did before the step (firing rules, cone
+   evals, token packing, queue operations) as exchange, and the comb and
+   seq passes as run. *)
+let step_engine t p ~t0 =
   let e = p.pt_engine in
-  if not t.recording then begin
+  if t0 = 0 then begin
     e.Engine.eval_comb ();
-    e.Engine.step_seq ()
+    e.Engine.step_seq ();
+    if t.prof_on then begin
+      (match e.Engine.pass_record with
+      | Some r ->
+        Telemetry.Profile.add_comb r 0;
+        Telemetry.Profile.add_seq r 0
+      | None -> ());
+      Telemetry.Profile.add_cycles p.pt_prof 1
+    end
   end
   else begin
-    charge_exchange p (Telemetry.Clock.lap ());
+    let t1 = Telemetry.Clock.now_ns () in
     e.Engine.eval_comb ();
-    let comb = Telemetry.Clock.lap () in
+    let t2 = Telemetry.Clock.now_ns () in
     e.Engine.step_seq ();
-    let seq = Telemetry.Clock.lap () in
+    let t3 = Telemetry.Clock.now_ns () in
+    charge_exchange p (t1 - t0);
     (match e.Engine.pass_record with
     | Some r ->
-      Telemetry.Profile.add_comb r comb;
-      Telemetry.Profile.add_seq r seq
+      Telemetry.Profile.add_comb r (sample_every * (t2 - t1));
+      Telemetry.Profile.add_seq r (sample_every * (t3 - t2))
     | None -> ());
-    Telemetry.Profile.add_run p.pt_prof (comb + seq);
+    Telemetry.Profile.add_run p.pt_prof (sample_every * (t3 - t1));
     Telemetry.Profile.add_cycles p.pt_prof 1
   end
 
@@ -387,13 +415,14 @@ let step_engine t p =
     - The advance rule consumes all heads under ONE lock with a single
       wakeup bump, once they are applied and before the engine steps.
 
-    While a sink is live it counts attempts, fires and tokens, and times
-    productive sweeps on the domain's lap chain ({!step_engine}); a
-    sweep that made no progress closes no lap, so its time lands in the
-    next lap the domain closes.  Returns whether any transition
-    happened. *)
+    While a sink is live it counts attempts, fires and tokens.  Under a
+    live profile, every sweep of a sampled cycle ({!timed_cycle}) is
+    timed from its start: a productive one is charged to [p] as
+    exchange and run ({!step_engine}), a failed one is not charged.
+    Returns whether any transition happened. *)
 let sweep t p ~block ~abort =
   freeze t;
+  let t0 = if t.prof_on && timed_cycle p.pt_cycle then Telemetry.Clock.now_ns () else 0 in
   let n = p.pt_notif in
   let ni = Array.length p.pt_ins in
   let heads =
@@ -458,14 +487,14 @@ let sweep t p ~block ~abort =
       if t.recording then
         Array.iter (fun ic -> Telemetry.Profile.add_deq ic.ic_rec ~tokens:1 0) p.pt_ins
     end;
-    step_engine t p;
+    step_engine t p ~t0;
     Array.iter (fun oc -> oc.oc_fired <- false) p.pt_outs;
     p.pt_cycle <- p.pt_cycle + 1;
     p.pt_drive p.pt_engine p.pt_cycle;
     true
   end
   else begin
-    if t.recording && !progress then charge_exchange p (Telemetry.Clock.lap ());
+    if t0 <> 0 && !progress then charge_exchange p (Telemetry.Clock.now_ns () - t0);
     !progress
   end
 

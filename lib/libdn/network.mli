@@ -67,9 +67,9 @@ val profile : t -> Telemetry.Profile.t
 val profile_enabled : t -> bool
 
 (** Whether either sink is live (fixed at {!create}): the network then
-    counts token movement and times productive sweeps on the sweeping
-    domain's {!Telemetry.Clock} lap chain, which every run starts in
-    {!prime}. *)
+    counts firing attempts, fires and token movement, and the parallel
+    scheduler reads the clock at its workers' parks.  Sweep timing
+    needs a live profile ({!sweep}). *)
 val recording : t -> bool
 
 (** Declares a partition; [outs] pairs each output channel with the
@@ -113,8 +113,7 @@ val groups : t -> int array
 
 (** Applies every partition's drive hook for the partition's current
     target cycle (0 on a fresh network); schedulers call this once at
-    the start of each run, so stepped runs drive each cycle once.
-    While {!recording} it also starts the calling domain's lap chain. *)
+    the start of each run, so stepped runs drive each cycle once. *)
 val prime : t -> unit
 
 (** Structured network-state snapshot — per partition: target cycle,
@@ -129,10 +128,13 @@ val introspect : t -> Telemetry.Snapshot.t
     cycle) if every input holds a token and every output has fired.  A
     single notifier lock snapshots all input heads, each head is applied
     to the engine at most once, and the advance consumes all heads under
-    one lock with a single wakeup bump.  While {!recording}, a productive
-    sweep closes laps of the domain's clock chain: its time outside the
-    engine passes as the partition's exchange, a local engine's passes
-    on its record.  [block] selects backpressure on
+    one lock with a single wakeup bump.  While {!recording} it counts
+    attempts, fires and tokens.  Under a live profile it counts engine
+    passes and times one target cycle in 16 of each partition, sampled
+    by Fibonacci hashing of the cycle number: a productive sweep of a
+    sampled cycle charges its time outside the engine passes as the
+    partition's exchange and a local engine's passes on its record,
+    each times 16.  [block] selects backpressure on
     a full destination queue ([true] in the parallel scheduler, else
     {!Channel.Bqueue.Full}); [abort] lets a blocked push bail out.
     Returns whether any transition happened. *)

@@ -231,7 +231,6 @@ type member = {
   mutable seg_start : int;  (** clock stamp opening the "run" segment *)
   mutable stalled : bool;  (** the latest visit made no progress *)
   mutable blocked : string option;  (** the input that stalled it *)
-  mutable visit_ns : int;  (** how long that failed visit took *)
 }
 
 let member net p =
@@ -244,7 +243,7 @@ let member net p =
             read p.Network.pt_prof))
       Telemetry.Profile.
         [
-          ("run_ns", run_ns);
+          ("run_ns", active_ns);
           ("idle_ns", park_ns);
           ("spins", spins);
           ("parks", parks);
@@ -262,7 +261,6 @@ let member net p =
     seg_start = 0;
     stalled = false;
     blocked = None;
-    visit_ns = 0;
   }
 
 (* Spans are recorded only at park boundaries and at finish, so event
@@ -334,18 +332,17 @@ let spin_for notif ~seen ~abort ~budget =
    not share a notifier), and a fruitless round is quiescence — the run
    deadlocks exactly as {!run_seq} does.
 
-   While the network records, the worker's domain keeps one lap chain
-   ({!Telemetry.Clock}), so each member's phases tile the worker's
-   wall time with one clock read per boundary:
-   - a productive visit is "run", timed by the sweep itself (its token
-     exchange and engine passes are laps of the same chain);
-   - a failed visit attributes the stall to its blocking input and is
-     timed by one lap;
+   While a sink is live the worker reads the clock only at its
+   boundaries (start, each park and wake, each member's finish), so
+   each member's phases tile the worker's wall time:
+   - "active", from a boundary to the next park or to the member's
+     finish: every visit, productive or failed, and every busy-wait.
+     The network's sampled sweep timing estimates the productive share
+     (run); the profile export charges the rest to spin;
+   - a failed visit attributes the stall to its blocking input;
    - a failed visit in a round where another member progressed, or
-     before a spin that caught a wakeup, counts one spin, charged the
-     visit plus the busy-wait;
-   - a failed visit before a park counts one park: the visit and the
-     busy-wait that gave up are spin time, the off-CPU wait in
+     before a spin that caught a wakeup, counts one spin;
+   - a round that ends in a park counts one park, its off-CPU wait in
      [par_block] is park time;
    - each member's Chrome "run" segment closes at a park (the park
      itself is a "stall" span tagged with the blocking input) and when
@@ -360,10 +357,18 @@ let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
   let budget = ref spin_initial in
   let unfinished m = m.part.Network.pt_cycle < cycles in
   let prof m = m.part.Network.pt_prof in
+  (* Clock stamp of the worker's latest boundary. *)
+  let last = ref 0 in
+  let lap () =
+    let now = Telemetry.Clock.now_ns () in
+    let d = now - !last in
+    last := now;
+    d
+  in
   if recording then begin
-    let t0 = Telemetry.Clock.mark () in
-    started.(slot) <- t0;
-    Array.iter (fun m -> m.seg_start <- t0) ms
+    last := Telemetry.Clock.now_ns ();
+    started.(slot) <- !last;
+    Array.iter (fun m -> m.seg_start <- !last) ms
   end;
   let visit m =
     m.stalled <- false;
@@ -372,35 +377,33 @@ let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
       let prog = Network.sweep net m.part ~block:(not inline) ~abort in
       if not prog then begin
         m.stalled <- true;
-        if recording then begin
-          m.blocked <- (if tel_on then Network.record_stall m.part else None);
-          m.visit_ns <- Telemetry.Clock.lap ()
-        end
+        if tel_on then m.blocked <- Network.record_stall m.part
       end
-      else if recording && not (unfinished m) then end_run m (Telemetry.Clock.last ());
+      else if recording && not (unfinished m) then begin
+        let now = Telemetry.Clock.now_ns () in
+        Telemetry.Profile.add_active (prof m) (now - !last);
+        end_run m now
+      end;
       prog
     end
   in
-  let count_spins ~wait =
-    Array.iter
-      (fun m -> if m.stalled then Telemetry.Profile.add_spin (prof m) (m.visit_ns + wait))
-      ms
+  let count_spins () =
+    Array.iter (fun m -> if m.stalled then Telemetry.Profile.add_spin (prof m) 0) ms
   in
   let park ~seen =
     if not recording then par_block net mon ~notif ~cycles ~seen
     else begin
-      let wait = Telemetry.Clock.lap () in
-      let t_park = Telemetry.Clock.last () in
+      let active = lap () in
+      let t_park = !last in
       Array.iter
         (fun m ->
           if m.stalled then begin
-            Telemetry.Profile.add_spin_ns (prof m) (m.visit_ns + wait);
+            Telemetry.Profile.add_active (prof m) active;
             end_run m t_park
           end)
         ms;
       par_block net mon ~notif ~cycles ~seen;
-      let parked = Telemetry.Clock.lap () in
-      let t_wake = Telemetry.Clock.last () in
+      let parked = lap () in
       Array.iter
         (fun m ->
           if m.stalled then begin
@@ -410,8 +413,8 @@ let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
               | None -> []
               | Some chan -> [ ("blocked_on", Telemetry.Json.String chan) ]
             in
-            span m ~name:"stall" ~args ~start:t_park ~stop:t_wake;
-            m.seg_start <- t_wake
+            span m ~name:"stall" ~args ~start:t_park ~stop:!last;
+            m.seg_start <- !last
           end)
         ms
     end
@@ -423,14 +426,14 @@ let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
        for i = 0 to Array.length ms - 1 do
          if visit ms.(i) then progress := true
        done;
-       if !progress then (if recording then count_spins ~wait:0)
+       if !progress then (if recording then count_spins ())
        else if inline then begin
-         if recording then count_spins ~wait:0;
+         if recording then count_spins ();
          assert (Network.quiescent net ~target:cycles);
          declare_dead mon
        end
        else if spin && spin_for notif ~seen ~abort ~budget:!budget then begin
-         if recording then count_spins ~wait:(Telemetry.Clock.lap ());
+         if recording then count_spins ();
          budget := min spin_max (2 * !budget)
        end
        else begin
@@ -440,9 +443,15 @@ let par_worker net mon ps ~cycles ~started ~finished ~slot ~spin ~inline =
      done
    with e -> par_fail net mon e);
   if recording then begin
-    let t_done = Telemetry.Clock.now_ns () in
-    Array.iter (fun m -> if unfinished m then end_run m t_done) ms;
-    finished.(slot) <- t_done
+    let active = lap () in
+    Array.iter
+      (fun m ->
+        if unfinished m then begin
+          Telemetry.Profile.add_active (prof m) active;
+          end_run m !last
+        end)
+      ms;
+    finished.(slot) <- !last
   end;
   par_exit net mon ~cycles
 

@@ -162,114 +162,126 @@ let of_analysis ?(engine = default_engine) ?(telemetry = Telemetry.null)
     |> Array.of_list
   in
   let wrapped = Telemetry.counter telemetry "rtlsim.mem.addr_wrapped" in
-  let analysis, widths, lane_values, lane_mems, exec, bc, (kind, comb_hist, seq_hist) =
-    match engine with
-    | Bytecode ->
-      let opt_flat =
-        try Opt.optimize ?roots:dce_roots flat
-        with Opt.Opt_error msg -> sim_error "%s" msg
+  match engine with
+  | Bytecode ->
+    let opt_flat =
+      try Opt.optimize ?roots:dce_roots flat
+      with Opt.Opt_error msg -> sim_error "%s" msg
+    in
+    (* The optimizer may introduce fresh wires (global subexpression
+       sharing); slot them above every original name so original
+       indices — and everything keyed on them — are untouched. *)
+    let widths =
+      let extra =
+        List.filter_map
+          (fun c ->
+            match c with
+            | Ast.Wire { name; width } when not (Hashtbl.mem slots name) ->
+              Some (name, width)
+            | Ast.Wire _ | Ast.Reg _ | Ast.Mem _ | Ast.Inst _ -> None)
+          opt_flat.Ast.comps
       in
-      (* The optimizer may introduce fresh wires (global subexpression
-         sharing); slot them above every original name so original
-         indices — and everything keyed on them — are untouched. *)
-      let widths =
-        let extra =
-          List.filter_map
-            (fun c ->
-              match c with
-              | Ast.Wire { name; width } when not (Hashtbl.mem slots name) ->
-                Some (name, width)
-              | Ast.Wire _ | Ast.Reg _ | Ast.Mem _ | Ast.Inst _ -> None)
-            opt_flat.Ast.comps
-        in
-        if extra = [] then widths
-        else begin
-          let base = Array.length widths in
-          let ext = Array.make (base + List.length extra) 0 in
-          Array.blit widths 0 ext 0 base;
-          List.iteri
-            (fun i (name, w) ->
-              Hashtbl.replace slots name (base + i);
-              ext.(base + i) <- w)
-            extra;
-          ext
-        end
-      in
-      let analysis = Analysis.build opt_flat in
-      let bc =
-        try Bytecode.compile ~flat:opt_flat ~analysis ~slots ~widths ~mems ~mem_widths ~wrapped ()
-        with Bytecode.Error msg -> sim_error "%s" msg
-      in
-      let lane_slots = (Bytecode.stats bc).Bytecode.slots in
-      let lane_values =
-        Array.init lanes (fun k ->
+      if extra = [] then widths
+      else begin
+        let base = Array.length widths in
+        let ext = Array.make (base + List.length extra) 0 in
+        Array.blit widths 0 ext 0 base;
+        List.iteri
+          (fun i (name, w) ->
+            Hashtbl.replace slots name (base + i);
+            ext.(base + i) <- w)
+          extra;
+        ext
+      end
+    in
+    let analysis = Analysis.build opt_flat in
+    let bc =
+      try Bytecode.compile ~flat:opt_flat ~analysis ~slots ~widths ~mems ~mem_widths ~wrapped ()
+      with Bytecode.Error msg -> sim_error "%s" msg
+    in
+    let lane_slots = (Bytecode.stats bc).Bytecode.slots in
+    let values = Array.make lane_slots 0 in
+    init_regs values;
+    Bytecode.bind bc values;
+    Bytecode.set_lanes bc lanes;
+    let lane_values =
+      Array.init lanes (fun k ->
+          if k = 0 then values
+          else begin
             let v = Array.make lane_slots 0 in
             init_regs v;
-            if k = 0 then begin
-              Bytecode.bind bc v;
-              Bytecode.set_lanes bc lanes
-            end
-            else Bytecode.bind_lane bc k v;
-            v)
-      in
-      let lane_mems =
-        Array.init lanes (fun k ->
-            if k = 0 then mems
-            else begin
-              let h = Hashtbl.create (Hashtbl.length mems) in
-              Hashtbl.iter
-                (fun name _ -> Hashtbl.replace h name (Bytecode.lane_mem bc ~lane:k name))
-                mems;
-              h
-            end)
-      in
-      ( analysis,
-        widths,
-        lane_values,
-        lane_mems,
-        Engine.Packed ((module Bytecode : Engine.S with type t = Bytecode.t), bc),
-        Some bc,
-        (Bytecode.name, Bytecode.comb_class_hist bc, Bytecode.seq_class_hist bc) )
-    | Closure ->
-      if lanes > 1 then
-        sim_error "engine closure is single-lane; lanes=%d requires the bytecode engine"
-          lanes;
-      let values = Array.make (Array.length widths) 0 in
-      init_regs values;
-      let cl =
-        try
-          Closure.compile ~flat ~analysis:base_analysis ~slots ~widths ~mems ~mem_widths
-            ~values ~wrapped ()
-        with Closure.Error msg -> sim_error "%s" msg
-      in
-      ( base_analysis,
-        widths,
-        [| values |],
-        [| mems |],
-        Engine.Packed ((module Closure : Engine.S with type t = Closure.t), cl),
-        None,
-        (Closure.name, Closure.comb_class_hist cl, Closure.seq_class_hist cl) )
-  in
-  {
-    flat;
-    analysis;
-    engine;
-    slots;
-    widths;
-    values = lane_values.(0);
-    lane_values;
-    mems;
-    lane_mems;
-    exec;
-    bc;
-    reg_slots;
-    reg_inits;
-    profile;
-    plabel;
-    eprof = Telemetry.Profile.engine profile ~label:plabel ~kind ~lanes ~comb_hist ~seq_hist;
-    timed = Telemetry.Profile.enabled profile;
-    cycle = 0;
-  }
+            Bytecode.bind_lane bc k v;
+            v
+          end)
+    in
+    let lane_mems =
+      Array.init lanes (fun k ->
+          if k = 0 then mems
+          else begin
+            let h = Hashtbl.create (Hashtbl.length mems) in
+            Hashtbl.iter
+              (fun name _ -> Hashtbl.replace h name (Bytecode.lane_mem bc ~lane:k name))
+              mems;
+            h
+          end)
+    in
+    {
+      flat;
+      analysis;
+      engine;
+      slots;
+      widths;
+      values;
+      lane_values;
+      mems;
+      lane_mems;
+      exec = Engine.Packed ((module Bytecode : Engine.S with type t = Bytecode.t), bc);
+      bc = Some bc;
+      reg_slots;
+      reg_inits;
+      profile;
+      plabel;
+      eprof =
+        Telemetry.Profile.engine profile ~label:plabel ~kind:Bytecode.name ~lanes
+          ~comb_hist:(Bytecode.comb_class_hist bc)
+          ~seq_hist:(Bytecode.seq_class_hist bc);
+      timed = Telemetry.Profile.enabled profile;
+      cycle = 0;
+    }
+  | Closure ->
+    if lanes > 1 then
+      sim_error "engine closure is single-lane; lanes=%d requires the bytecode engine"
+        lanes;
+    let analysis = base_analysis in
+    let values = Array.make (Array.length widths) 0 in
+    init_regs values;
+    let cl =
+      try Closure.compile ~flat ~analysis ~slots ~widths ~mems ~mem_widths ~values ~wrapped ()
+      with Closure.Error msg -> sim_error "%s" msg
+    in
+    {
+      flat;
+      analysis;
+      engine;
+      slots;
+      widths;
+      values;
+      lane_values = [| values |];
+      mems;
+      lane_mems = [| mems |];
+      exec = Engine.Packed ((module Closure : Engine.S with type t = Closure.t), cl);
+      bc = None;
+      reg_slots;
+      reg_inits;
+      profile;
+      plabel;
+      eprof =
+        Telemetry.Profile.engine profile ~label:plabel ~kind:Closure.name ~lanes
+          ~comb_hist:(Closure.comb_class_hist cl)
+          ~seq_hist:(Closure.seq_class_hist cl);
+      timed = Telemetry.Profile.enabled profile;
+      cycle = 0;
+    }
 
 let create ?engine ?telemetry ?profile ?label ?dce_roots ?lanes flat =
   of_analysis ?engine ?telemetry ?profile ?label ?dce_roots ?lanes (Analysis.build flat)
@@ -301,8 +313,8 @@ let set_input_all t name v =
 
 let get ?(lane = 0) t name = (lane_vals t lane).(slot t name)
 
-(** The two passes untimed, for a driver that times them on its own
-    lap chain and charges [t.eprof] itself (the LI-BDN network). *)
+(** The two passes untimed, for a driver that counts and times them
+    itself and charges [t.eprof] (the LI-BDN network). *)
 let raw_eval_comb t = Engine.eval_comb_all t.exec
 
 let raw_step_seq t =

@@ -1,27 +1,5 @@
 (* The one clock every sink stamps with: CLOCK_MONOTONIC in integer
    nanoseconds (bechamel's binding), so no duration goes negative when
-   the wall clock steps.
-
-   Each domain also keeps a lap chain: the stamp of its latest [mark]
-   or [lap].  A recorder that splits one stretch of a domain's time
-   into consecutive phases reads the clock once per phase boundary and
-   charges [lap ()] to the phase that just ended, so the phases tile
-   the stretch with no gaps and no second read at each boundary. *)
+   the wall clock steps. *)
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
-let chain = Domain.DLS.new_key (fun () -> ref 0)
-
-let mark () =
-  let now = now_ns () in
-  Domain.DLS.get chain := now;
-  now
-
-let lap () =
-  let c = Domain.DLS.get chain in
-  let now = now_ns () in
-  let d = now - !c in
-  c := now;
-  d
-
-let last () = !(Domain.DLS.get chain)

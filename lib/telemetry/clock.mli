@@ -1,15 +1,4 @@
-(** The one monotonic clock of every sink, and the per-domain lap chain
-    recorders use to split a domain's time into consecutive phases. *)
+(** The one monotonic clock of every sink. *)
 
 (** Monotonic nanoseconds (CLOCK_MONOTONIC; arbitrary origin). *)
 val now_ns : unit -> int
-
-(** Starts this domain's lap chain at the current time; returns it. *)
-val mark : unit -> int
-
-(** Nanoseconds since this domain's latest {!mark} or [lap], which it
-    replaces: one clock read closes one phase and opens the next. *)
-val lap : unit -> int
-
-(** The stamp of this domain's latest {!mark} or {!lap}. *)
-val last : unit -> int

@@ -12,7 +12,11 @@
    when every sink is off.  A recorder minted from {!null} is never
    exported, so the metrics sink can still share it: one record per
    event, live when either sink is.  Registration happens at build time
-   (sim creation, network construction), never in the per-cycle loop. *)
+   (sim creation, network construction), never in the per-cycle loop.
+
+   The network times a sample of target cycles and records each sampled
+   duration multiplied by the sampling period, so pass, run and
+   exchange ns are estimates; every count is exact. *)
 
 type engine = {
   e_label : string;
@@ -41,6 +45,7 @@ type part = {
   mutable pp_cycles : int;
   mutable pp_run_ns : int;      (* productive sweeps, token exchange included *)
   mutable pp_exchange_ns : int; (* sweep time outside engine passes, carved out at export *)
+  mutable pp_active_ns : int;   (* worker time between parks: every visit and busy-wait *)
   mutable pp_spins : int;
   mutable pp_spin_ns : int;
   mutable pp_parks : int;
@@ -130,7 +135,14 @@ let engine t ~label ~kind ~lanes ~comb_hist ~seq_hist =
 
 let cone t ~label ~name ~instrs ~hist =
   let c =
-    { cn_label = label; cn_name = name; cn_instrs = instrs; cn_hist = hist; cn_evals = 0; cn_ns = 0 }
+    {
+      cn_label = label;
+      cn_name = name;
+      cn_instrs = instrs;
+      cn_hist = hist;
+      cn_evals = 0;
+      cn_ns = 0;
+    }
   in
   if t.enabled then locked t (fun () -> t.cones <- c :: t.cones);
   c
@@ -143,6 +155,7 @@ let part t ~name ~index =
       pp_cycles = 0;
       pp_run_ns = 0;
       pp_exchange_ns = 0;
+      pp_active_ns = 0;
       pp_spins = 0;
       pp_spin_ns = 0;
       pp_parks = 0;
@@ -177,7 +190,15 @@ let channel t ~part ~name =
   c
 
 let wire t ~label =
-  let w = { wr_label = label; wr_round_trips = 0; wr_bytes_out = 0; wr_bytes_in = 0; wr_ns = 0 } in
+  let w =
+    {
+      wr_label = label;
+      wr_round_trips = 0;
+      wr_bytes_out = 0;
+      wr_bytes_in = 0;
+      wr_ns = 0;
+    }
+  in
   if t.enabled then locked t (fun () -> t.wires <- w :: t.wires);
   w
 
@@ -200,12 +221,11 @@ let add_cone_eval c ns =
 
 let add_run p ns = p.pp_run_ns <- p.pp_run_ns + ns
 let add_exchange p ns = p.pp_exchange_ns <- p.pp_exchange_ns + ns
+let add_active p ns = p.pp_active_ns <- p.pp_active_ns + ns
 
 let add_spin p ns =
   p.pp_spins <- p.pp_spins + 1;
   p.pp_spin_ns <- p.pp_spin_ns + ns
-
-let add_spin_ns p ns = p.pp_spin_ns <- p.pp_spin_ns + ns
 
 let add_park p ns =
   p.pp_parks <- p.pp_parks + 1;
@@ -235,7 +255,7 @@ let add_wire w ~bytes_out ~bytes_in ns =
 
 (* -- reads shared with the metrics sink ---------------------------- *)
 
-let run_ns p = p.pp_run_ns
+let active_ns p = p.pp_active_ns
 let spins p = p.pp_spins
 let parks p = p.pp_parks
 let park_ns p = p.pp_park_ns
@@ -247,7 +267,7 @@ let bytes_in w = w.wr_bytes_in
 
 (* -- export -------------------------------------------------------- *)
 
-let ints kv = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kv)
+let hist_json h = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) h)
 let hist_total h = List.fold_left (fun a (_, v) -> a + v) 0 h
 let scale_hist h k = List.map (fun (c, v) -> (c, v * k)) h
 
@@ -276,8 +296,8 @@ let engine_json e =
       ("seq_ns", Json.Int e.e_seq_ns);
       ("comb_instrs_per_pass", Json.Int (hist_total e.e_comb_hist));
       ("seq_instrs_per_pass", Json.Int (hist_total e.e_seq_hist));
-      ("comb_classes", ints e.e_comb_hist);
-      ("seq_classes", ints e.e_seq_hist);
+      ("comb_classes", hist_json e.e_comb_hist);
+      ("seq_classes", hist_json e.e_seq_hist);
     ]
 
 let cone_json c =
@@ -288,14 +308,17 @@ let cone_json c =
       ("instrs", Json.Int c.cn_instrs);
       ("evals", Json.Int c.cn_evals);
       ("ns", Json.Int c.cn_ns);
-      ("classes", ints c.cn_hist);
+      ("classes", hist_json c.cn_hist);
     ]
 
-(* Exchange happens inside run; carve it out so the five components
-   partition the partition's time. *)
 let part_totals p =
-  let ex = p.pp_exchange_ns in
-  (max 0 (p.pp_run_ns - ex), ex, p.pp_spin_ns, p.pp_park_ns, p.pp_barrier_ns)
+  let run = p.pp_run_ns and ex = p.pp_exchange_ns in
+  (* Exchange happens inside run segments, and a parallel worker's
+     active time holds its productive visits (run) and its failed ones:
+     carve both so the five components partition the partition's time. *)
+  let spin = p.pp_spin_ns + max 0 (p.pp_active_ns - run) in
+  let run = max 0 (run - ex) in
+  (run, ex, spin, p.pp_park_ns, p.pp_barrier_ns)
 
 let part_json p =
   let run, ex, spin, park, barrier = part_totals p in
@@ -351,7 +374,8 @@ let retired_classes t =
           ])
       t.engines
   in
-  merge_hists (per_engine @ List.map (fun c -> scale_hist c.cn_hist c.cn_evals) t.cones)
+  let per_cone = List.map (fun c -> scale_hist c.cn_hist c.cn_evals) t.cones in
+  merge_hists (per_engine @ per_cone)
 
 (* -- partition load model ------------------------------------------ *)
 
@@ -390,18 +414,21 @@ let load_model t =
   List.iter (fun e -> remember e.e_label) t.engines;
   List.iter (fun c -> remember c.cn_label) t.cones;
   let labels = List.rev !labels in
-  let sum_engines l f =
-    List.fold_left (fun a e -> if e.e_label = l then a + f e else a) 0 t.engines
-  in
-  let sum_cones l f =
-    List.fold_left (fun a c -> if c.cn_label = l then a + f c else a) 0 t.cones
-  in
   let predicted_of l =
-    sum_engines l (fun e -> hist_total e.e_comb_hist + hist_total e.e_seq_hist)
-    + sum_cones l (fun c -> c.cn_instrs)
+    List.fold_left
+      (fun a e ->
+        if e.e_label = l then a + hist_total e.e_comb_hist + hist_total e.e_seq_hist
+        else a)
+      0 t.engines
+    + List.fold_left
+        (fun a c -> if c.cn_label = l then a + c.cn_instrs else a)
+        0 t.cones
   in
   let engine_cone_ns l =
-    sum_engines l (fun e -> e.e_comb_ns + e.e_seq_ns) + sum_cones l (fun c -> c.cn_ns)
+    List.fold_left
+      (fun a e -> if e.e_label = l then a + e.e_comb_ns + e.e_seq_ns else a)
+      0 t.engines
+    + List.fold_left (fun a c -> if c.cn_label = l then a + c.cn_ns else a) 0 t.cones
   in
   let measured_of l =
     match List.find_opt (fun p -> p.pp_name = l) t.parts with
@@ -443,14 +470,23 @@ let load_weights t =
       (r.m_name, if any_measured then r.m_measured_ns else r.m_predicted))
     rows
 
-(* The k largest of [xs] by [weight], ties in registration order. *)
-let top_k ?(k = 10) weight xs =
-  List.stable_sort (fun a b -> compare (weight b) (weight a)) xs
-  |> List.filteri (fun i _ -> i < k)
+let top_k k cmp xs =
+  let sorted = List.stable_sort cmp xs in
+  let rec take n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | x :: tl -> x :: take (n - 1) tl
+  in
+  take k sorted
 
-(* Cone evals are counted, not timed: rank cones by retired work. *)
+(* Cone evals and token moves are counted, not timed: rank cones by
+   retired work and channels by tokens. *)
 let cone_work c = c.cn_instrs * c.cn_evals
 let chan_tokens c = c.ch_enq_tokens + c.ch_deq_tokens
+let top_cones ?(k = 10) t = top_k k (fun a b -> compare (cone_work b) (cone_work a)) t.cones
+
+let top_channels ?(k = 10) t =
+  top_k k (fun a b -> compare (chan_tokens b) (chan_tokens a)) t.chans
 
 let load_model_json t =
   let rows, pred_imb, meas_imb = load_model t in
@@ -483,7 +519,7 @@ let load_model_json t =
                    ("evals", Json.Int c.cn_evals);
                    ("ns", Json.Int c.cn_ns);
                  ])
-             (top_k cone_work t.cones)) );
+             (top_cones t)) );
       ( "top_channels",
         Json.List
           (List.map
@@ -495,7 +531,7 @@ let load_model_json t =
                    ("ns", Json.Int (c.ch_enq_ns + c.ch_deq_ns));
                    ("tokens", Json.Int (chan_tokens c));
                  ])
-             (top_k chan_tokens t.chans)) );
+             (top_channels t)) );
     ]
 
 (* Export denominator: an explicitly pinned wall wins; otherwise the
@@ -504,7 +540,9 @@ let load_model_json t =
 let wall t =
   match t.wall_ns with
   | Some w -> w
-  | None -> if t.acc_wall > 0 then t.acc_wall else Clock.now_ns () - t.t0
+  | None ->
+    let acc = t.acc_wall in
+    if acc > 0 then acc else Clock.now_ns () - t.t0
 
 let to_json t =
   locked t (fun () ->
@@ -513,12 +551,13 @@ let to_json t =
           ("schema", Json.String "fireaxe-profile-1");
           ("wall_ns", Json.Int (wall t));
           ("engines", Json.List (List.rev_map engine_json t.engines));
-          ("opcode_classes", ints (retired_classes t));
+          ("opcode_classes", hist_json (retired_classes t));
           ("cones", Json.List (List.rev_map cone_json t.cones));
           ("partitions", Json.List (List.rev_map part_json t.parts));
           ("channels", Json.List (List.rev_map chan_json t.chans));
           ("wires", Json.List (List.rev_map wire_json t.wires));
-          ("remote_slices", Json.Obj (List.rev t.slices));
+          ( "remote_slices",
+            Json.Obj (List.rev_map (fun (l, j) -> (l, j)) t.slices) );
           ("load_model", load_model_json t);
         ])
 
@@ -527,7 +566,7 @@ let slice_string t = Json.to_string (to_json t)
 
 let write t ~path =
   let oc = open_out path in
-  output_string oc (slice_string t);
+  output_string oc (Json.to_string (to_json t));
   output_char oc '\n';
   close_out oc
 
@@ -537,42 +576,49 @@ let pct f = f *. 100.
 
 let report_string t =
   let b = Buffer.create 1024 in
-  let line fmt = Printf.bprintf b fmt in
   let rows, pred_imb, meas_imb = locked t (fun () -> load_model t) in
-  line "partition load model (predicted = static instrs/cycle):\n";
+  Buffer.add_string b "partition load model (predicted = static instrs/cycle):\n";
   List.iter
     (fun r ->
-      line "  %-24s predicted %8d (%5.1f%%)   measured %10d ns (%5.1f%%)\n" r.m_name
-        r.m_predicted (pct r.m_predicted_share) r.m_measured_ns (pct r.m_measured_share))
+      Buffer.add_string b
+        (Printf.sprintf "  %-24s predicted %8d (%5.1f%%)   measured %10d ns (%5.1f%%)\n"
+           r.m_name r.m_predicted (pct r.m_predicted_share) r.m_measured_ns
+           (pct r.m_measured_share)))
     rows;
-  line "  imbalance (max/mean): predicted %.2f, measured %.2f\n" pred_imb meas_imb;
-  let parts, cones, chans =
-    locked t (fun () -> (List.rev t.parts, top_k cone_work t.cones, top_k chan_tokens t.chans))
-  in
+  Buffer.add_string b
+    (Printf.sprintf "  imbalance (max/mean): predicted %.2f, measured %.2f\n" pred_imb
+       meas_imb);
+  let parts = locked t (fun () -> List.rev t.parts) in
   if parts <> [] then begin
-    line "scheduler breakdown per partition:\n";
+    Buffer.add_string b "scheduler breakdown per partition:\n";
     List.iter
       (fun p ->
         let run, ex, spin, park, barrier = part_totals p in
-        line
-          "  %-24s run %10d ns  exchange %8d ns  spin %8d ns  park %8d ns  barrier %8d ns\n"
-          p.pp_name run ex spin park barrier)
+        Buffer.add_string b
+          (Printf.sprintf
+             "  %-24s run %10d ns  exchange %8d ns  spin %8d ns  park %8d ns  \
+              barrier %8d ns\n"
+             p.pp_name run ex spin park barrier))
       parts
   end;
+  let cones = locked t (fun () -> top_cones t) in
   if cones <> [] then begin
-    line "top cones by retired work:\n";
+    Buffer.add_string b "top cones by retired work:\n";
     List.iter
       (fun c ->
-        line "  %-24s %-20s %8d instrs  %8d evals\n" c.cn_label c.cn_name c.cn_instrs
-          c.cn_evals)
+        Buffer.add_string b
+          (Printf.sprintf "  %-24s %-20s %8d instrs  %8d evals\n" c.cn_label c.cn_name
+             c.cn_instrs c.cn_evals))
       cones
   end;
+  let chans = locked t (fun () -> top_channels t) in
   if chans <> [] then begin
-    line "top channels by tokens:\n";
+    Buffer.add_string b "top channels by tokens:\n";
     List.iter
       (fun c ->
-        line "  %-24s %-20s enq %8d  deq %8d\n" c.ch_part c.ch_name c.ch_enq_tokens
-          c.ch_deq_tokens)
+        Buffer.add_string b
+          (Printf.sprintf "  %-24s %-20s enq %8d  deq %8d\n" c.ch_part c.ch_name
+             c.ch_enq_tokens c.ch_deq_tokens))
       chans
   end;
   Buffer.contents b

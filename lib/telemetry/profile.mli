@@ -11,7 +11,9 @@
     - {b network}: per-channel token counts, plus remote-worker wire
       cost.
 
-    Every duration is a difference of {!Clock} stamps.  Recorders are
+    Every duration is a difference of {!Clock} stamps; the network
+    times a sample of target cycles, so pass, run and exchange ns are
+    estimates while every count is exact.  Recorders are
     plain single-writer records, so recording never allocates, takes a
     lock or tests a flag; callers choose their recording variant once at
     build time and make no call here when every sink is off.  Recorders
@@ -82,8 +84,10 @@ val add_run : part -> int -> unit
 val add_exchange : part -> int -> unit
 val add_spin : part -> int -> unit
 
-val add_spin_ns : part -> int -> unit
-(** Spin time with no spin event: the failed visit before a park. *)
+val add_active : part -> int -> unit
+(** A parallel worker's time between parks: its productive visits (also
+    recorded as run) and failed ones, and its busy-waits.  The export
+    charges what run does not cover to spin. *)
 
 val add_park : part -> int -> unit
 val add_barrier : part -> int -> unit
@@ -100,7 +104,7 @@ val add_bytes : wire -> bytes_out:int -> bytes_in:int -> unit
 
 (** {1 Reads shared with the metrics sink} *)
 
-val run_ns : part -> int
+val active_ns : part -> int
 val spins : part -> int
 val parks : part -> int
 val park_ns : part -> int

@@ -113,16 +113,23 @@ let counter_of t = register_view t (fun t -> t.t_counters) (fun t l -> t.t_count
 let gauge_of t = register_view t (fun t -> t.t_gauges) (fun t l -> t.t_gauges <- l)
 
 let hist t name =
-  let fresh on = { h_name = name; h_on = on; h_mu = Mutex.create (); h_stats = Des.Stats.create () } in
-  if not t.enabled then fresh false
-  else
-    locked t (fun () ->
-        match List.find_opt (fun h -> h.h_name = name) t.t_hists with
-        | Some h -> h
-        | None ->
-          let h = fresh true in
-          t.t_hists <- h :: t.t_hists;
-          h)
+  if not t.enabled then
+    { h_name = name; h_on = false; h_mu = Mutex.create (); h_stats = Des.Stats.create () }
+  else begin
+    Mutex.lock t.mu;
+    let h =
+      match List.find_opt (fun h -> h.h_name = name) t.t_hists with
+      | Some h -> h
+      | None ->
+        let h =
+          { h_name = name; h_on = true; h_mu = Mutex.create (); h_stats = Des.Stats.create () }
+        in
+        t.t_hists <- h :: t.t_hists;
+        h
+    in
+    Mutex.unlock t.mu;
+    h
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Recording (one branch when disabled)                                *)
@@ -162,7 +169,9 @@ let observe h v =
     (track pid = -1, the network-wide lane). *)
 let record_deadlock t snap =
   if t.enabled then begin
-    locked t (fun () -> t.t_deadlock <- Some snap);
+    Mutex.lock t.mu;
+    t.t_deadlock <- Some snap;
+    Mutex.unlock t.mu;
     match t.t_trace with
     | None -> ()
     | Some tc ->
@@ -194,17 +203,19 @@ let hist_summary h =
     ]
 
 let hists t =
-  List.rev_map (fun h -> (h.h_name, hist_summary h)) (locked t (fun () -> t.t_hists))
+  Mutex.lock t.mu;
+  let hs = List.rev t.t_hists in
+  Mutex.unlock t.mu;
+  List.map (fun h -> (h.h_name, hist_summary h)) hs
 
 (** The whole registry as one JSON metrics snapshot. *)
 let metrics_json t =
-  let ints kv = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kv) in
   Json.Obj
     [
       ("schema", Json.String "fireaxe-metrics-1");
       ("enabled", Json.Bool t.enabled);
-      ("counters", ints (counters t));
-      ("gauges", ints (gauges t));
+      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
+      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges t)));
       ("histograms", Json.Obj (hists t));
       ( "deadlock",
         match t.t_deadlock with None -> Json.Null | Some s -> Snapshot.to_json s );
